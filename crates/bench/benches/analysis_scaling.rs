@@ -1,15 +1,17 @@
 //! Criterion bench: scaling of the analytical WCTT models with mesh size —
 //! chained-blocking recursion (regular) vs weighted bandwidth-share model
-//! (WaW + WaP) — plus the WaW weight-table derivation.
+//! (WaW + WaP) — plus the WaW weight-table derivation and the construction
+//! of the priority-preemptive oracle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use wnoc_core::analysis::preemptive::PreemptiveOracle;
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{Coord, Mesh, RouterTiming};
+use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, RouterTiming, VcAssignment, VcConfig};
 
 fn bench_regular_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/regular_corner_wctt");
@@ -62,10 +64,34 @@ fn bench_weight_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// Preemptive oracle construction on 12×12 all-to-one: under a single VC the
+/// interference sets are skipped; at 3 VCs by distance every flow shares the
+/// ejection link, so this is the worst case of the `S_D ∪ S_I` build.
+fn bench_preemptive_oracle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("analysis/preemptive_oracle_new");
+    let mesh = Mesh::square(12).unwrap();
+    let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
+    let config = NocConfig::regular(4);
+    let buffers = BufferConfig::uniform(config.input_buffer_flits);
+    for (label, vcs) in [
+        ("12x12_1vc", VcConfig::single()),
+        (
+            "12x12_3vc_dist",
+            VcConfig::new(3, VcAssignment::Distance).unwrap(),
+        ),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &vcs, |b, &vcs| {
+            b.iter(|| black_box(PreemptiveOracle::new(&flows, &config, &buffers, vcs)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_regular_model,
     bench_weighted_model,
-    bench_weight_table
+    bench_weight_table,
+    bench_preemptive_oracle
 );
 criterion_main!(benches);

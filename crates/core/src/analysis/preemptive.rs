@@ -39,8 +39,6 @@
 //! construction while remaining far from `u64::MAX` so downstream arithmetic
 //! cannot overflow.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::analysis::regular::RegularWcttModel;
 use crate::buffers::BufferConfig;
 use crate::config::{NocConfig, RouterTiming};
@@ -101,7 +99,12 @@ pub struct PreemptiveOracle {
     /// Per-flow strictly-higher-priority members of `S_D ∪ S_I`, as flow
     /// indices.  Empty everywhere under a single VC.
     hp_interferers: Vec<Vec<usize>>,
-    preemption_memo: HashMap<usize, u64>,
+    /// Per-flow closed-loop re-offer floor `T_j` as a preemptor: no-load
+    /// completion of one maximum-size packet.  Empty under a single VC,
+    /// where no flow preempts another.
+    re_offer_period: Vec<u64>,
+    /// Memoised preemption delays, per flow.
+    preemption_memo: Vec<Option<u64>>,
 }
 
 impl PreemptiveOracle {
@@ -123,12 +126,24 @@ impl PreemptiveOracle {
         }
 
         // Interference sets only matter across priority classes; under a
-        // single VC (every campaign outside the vc dimension) skip the
-        // quadratic link-sharing scan entirely.
-        let hp_interferers = if vcs.is_single() {
-            vec![Vec::new(); n]
+        // single VC (every campaign outside the vc dimension) skip building
+        // them, and the re-offer periods only preemptors need, entirely.
+        let (hp_interferers, re_offer_period) = if vcs.is_single() {
+            (vec![Vec::new(); n], Vec::new())
         } else {
-            Self::higher_priority_interferers(flows, &priority)
+            let periods = (0..n)
+                .map(|index| {
+                    let hops = flows
+                        .route(FlowId(index))
+                        .map_or(0, |route| route.hop_count());
+                    config
+                        .timing
+                        .zero_load_head_latency(hops)
+                        .saturating_add(u64::from(max_packet_flits - 1))
+                        .max(1)
+                })
+                .collect();
+            (Self::higher_priority_interferers(flows, &priority), periods)
         };
 
         Self {
@@ -140,7 +155,8 @@ impl PreemptiveOracle {
             depth_factor: Self::depth_envelope_factor(config, buffers),
             priority,
             hp_interferers,
-            preemption_memo: HashMap::new(),
+            re_offer_period,
+            preemption_memo: vec![None; n],
         }
     }
 
@@ -179,51 +195,75 @@ impl PreemptiveOracle {
         self.hp_interferers.get(flow.0).map(Vec::as_slice)
     }
 
+    /// `hp(S_D ∪ S_I)` for every flow, over dense flow bitsets of
+    /// `⌈n/64⌉` words.  Each link — `(router, output)` column, densely
+    /// indexed `node · 5 + output` like [`RegularWcttModel`]'s drain terms —
+    /// gets the bitset of flows crossing it; a flow's `S_D` is the OR of its
+    /// columns' bitsets without its own bit, and `S_D ∪ S_I` the two-hop
+    /// reach (its `S_D` OR'd with the `S_D` of each member).  One AND with
+    /// the "priority above `p`" mask keeps the higher-priority members,
+    /// enumerated in ascending index order; top-class flows skip it all.
+    /// Cost `O(n · |S_D| · n/64)` word operations, against the `O(n · |S_D|²)`
+    /// hashed inserts of building the sets member by member.
     fn higher_priority_interferers(flows: &FlowSet, priority: &[u8]) -> Vec<Vec<usize>> {
         let n = flows.len();
-        // A flow's links: every (router, output port) pair along its route,
-        // ejection hop included.
-        let link_sets: Vec<HashSet<(Coord, Port)>> = (0..n)
-            .map(|index| {
-                flows
-                    .route(FlowId(index))
-                    .map(|route| {
-                        route
-                            .hops()
-                            .iter()
-                            .map(|hop| (hop.router, hop.output))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            })
-            .collect();
-        let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if !link_sets[i].is_disjoint(&link_sets[j]) {
-                    direct[i].push(j);
-                    direct[j].push(i);
-                }
+        let words = n.div_ceil(64);
+        let width = usize::from(flows.mesh().width());
+        let columns = flows.mesh().router_count() * Port::COUNT;
+        let column = |router: Coord, output: Port| {
+            (usize::from(router.y) * width + usize::from(router.x)) * Port::COUNT + output.index()
+        };
+        let routes = || (0..n).filter_map(|i| Some((i, flows.route(FlowId(i))?)));
+        let row = |index: usize| index * words..(index + 1) * words;
+        let or_into =
+            |dst: &mut [u64], src: &[u64]| dst.iter_mut().zip(src).for_each(|(d, s)| *d |= s);
+
+        let mut column_flows = vec![0u64; columns * words];
+        for (index, route) in routes() {
+            for hop in route.hops() {
+                column_flows[row(column(hop.router, hop.output))][index / 64] |= 1 << (index % 64);
             }
         }
+        let mut direct = vec![0u64; n * words];
+        for (index, route) in routes() {
+            let own = &mut direct[row(index)];
+            for hop in route.hops() {
+                or_into(own, &column_flows[row(column(hop.router, hop.output))]);
+            }
+            own[index / 64] &= !(1 << (index % 64));
+        }
+        // `higher[p]`: the flows of strictly higher priority than class `p`
+        // (a lower VC index).
+        let levels = usize::from(priority.iter().copied().max().unwrap_or(0)) + 1;
+        let mut higher = vec![0u64; levels * words];
+        for (index, &p) in priority.iter().enumerate() {
+            for level in usize::from(p) + 1..levels {
+                higher[row(level)][index / 64] |= 1 << (index % 64);
+            }
+        }
+
+        let mut reach = vec![0u64; words];
         (0..n)
             .map(|i| {
-                let mut set = HashSet::new();
-                for &j in &direct[i] {
-                    if priority[j] < priority[i] {
-                        set.insert(j);
-                    }
-                    // Indirect: flows sharing links with the direct
-                    // interferer j (whether or not they touch i's route).
-                    for &k in &direct[j] {
-                        if k != i && priority[k] < priority[i] {
-                            set.insert(k);
-                        }
-                    }
+                let p = usize::from(priority[i]);
+                if p == 0 {
+                    return Vec::new();
                 }
-                let mut hp: Vec<usize> = set.into_iter().collect();
-                hp.sort_unstable();
-                hp
+                // The mask never holds `i` itself (its class is `p`), so the
+                // AND also drops the own bit every `S_D(j)` carries; and once
+                // the reach covers the mask, further ORs cannot change it.
+                let mask = &higher[row(p)];
+                let covers_mask = |reach: &[u64]| reach.iter().zip(mask).all(|(r, m)| r & m == *m);
+                let own = &direct[row(i)];
+                reach.copy_from_slice(own);
+                for j in members(own) {
+                    if covers_mask(&reach) {
+                        break;
+                    }
+                    or_into(&mut reach, &direct[row(j)]);
+                }
+                reach.iter_mut().zip(mask).for_each(|(r, m)| *r &= m);
+                members(&reach).collect()
             })
             .collect()
     }
@@ -245,33 +285,22 @@ impl PreemptiveOracle {
     /// (`router + L`), `T_j` its closed-loop re-offer floor (no-load
     /// completion of one maximum-size packet).
     fn preemption_delay(&mut self, index: usize) -> Option<u64> {
-        if let Some(&delay) = self.preemption_memo.get(&index) {
+        if let Some(delay) = *self.preemption_memo.get(index)? {
             return Some(delay);
         }
-        let hp = self.hp_interferers.get(index)?.clone();
-        let delay = if hp.is_empty() {
+        let delay = if self.hp_interferers[index].is_empty() {
             0
         } else {
             let service = self.packet_service(index)?;
-            let terms: Vec<(u64, u64)> = hp
-                .iter()
-                .filter_map(|&j| {
-                    let hops = self.flows.route(FlowId(j))?.hop_count();
-                    let cost = u64::from(self.timing.router_cycles)
-                        .saturating_add(u64::from(self.max_packet_flits));
-                    let period = self
-                        .timing
-                        .zero_load_head_latency(hops)
-                        .saturating_add(u64::from(self.max_packet_flits - 1))
-                        .max(1);
-                    Some((cost, period))
-                })
-                .collect();
+            let cost = u64::from(self.timing.router_cycles)
+                .saturating_add(u64::from(self.max_packet_flits));
+            let hp = &self.hp_interferers[index];
             let mut response = service;
             let mut converged = None;
             for _ in 0..MAX_RESPONSE_ROUNDS {
                 let mut next = service;
-                for &(cost, period) in &terms {
+                for &j in hp {
+                    let period = self.re_offer_period[j];
                     next = next.saturating_add(response.div_ceil(period).saturating_mul(cost));
                 }
                 if next == response {
@@ -285,7 +314,7 @@ impl PreemptiveOracle {
             }
             converged.unwrap_or(SATURATION_SENTINEL)
         };
-        self.preemption_memo.insert(index, delay);
+        self.preemption_memo[index] = Some(delay);
         Some(delay)
     }
 
@@ -305,6 +334,15 @@ impl PreemptiveOracle {
             .saturating_add(preemption);
         Some(bound.min(SATURATION_SENTINEL))
     }
+}
+
+/// The indices of the set bits of a flow bitset, ascending.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 impl crate::analysis::oracle::WcttBoundModel for PreemptiveOracle {

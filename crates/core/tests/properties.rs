@@ -1,8 +1,11 @@
 //! Property-based tests over the core primitives: routing, flow counting,
-//! weights, packetization and arbitration.
+//! weights, packetization, arbitration and the preemptive interference sets.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use wnoc_core::analysis::preemptive::PreemptiveOracle;
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::arbitration::{PortArbiter, RoundRobinArbiter, WawArbiter};
 use wnoc_core::config::RouterTiming;
@@ -13,7 +16,7 @@ use wnoc_core::port::{Direction, Port};
 use wnoc_core::routing::{xy_turn_allowed, RoutingAlgorithm, XyRouting};
 use wnoc_core::topology::Mesh;
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{FlowId, MessageId, NodeId};
+use wnoc_core::{BufferConfig, FlowId, MessageId, NocConfig, NodeId, VcAssignment, VcConfig};
 
 fn mesh_dims() -> impl Strategy<Value = (u16, u16)> {
     (1u16..=6, 1u16..=6).prop_filter("at least two nodes", |(w, h)| *w * *h >= 2)
@@ -267,6 +270,145 @@ proptest! {
         let mut large = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, l + 1);
         prop_assert!(large.route_wctt(&corner, 1) >= small.route_wctt(&corner, 1));
     }
+}
+
+/// `hp(S_D ∪ S_I)` for every flow by direct construction over hashed link
+/// sets: the reference the bitset construction in [`PreemptiveOracle`] must
+/// reproduce exactly.
+fn reference_interferers(flows: &FlowSet, priority: &[u8]) -> Vec<Vec<usize>> {
+    let n = flows.len();
+    // A flow's links: every (router, output port) pair along its route,
+    // ejection hop included.
+    let link_sets: Vec<HashSet<(Coord, Port)>> = (0..n)
+        .map(|index| {
+            let route = flows.route(FlowId(index)).unwrap();
+            route
+                .hops()
+                .iter()
+                .map(|hop| (hop.router, hop.output))
+                .collect()
+        })
+        .collect();
+    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if !link_sets[i].is_disjoint(&link_sets[j]) {
+                direct[i].push(j);
+                direct[j].push(i);
+            }
+        }
+    }
+    (0..n)
+        .map(|i| {
+            let mut set = HashSet::new();
+            for &j in &direct[i] {
+                if priority[j] < priority[i] {
+                    set.insert(j);
+                }
+                // Indirect: flows sharing links with the direct interferer j
+                // (whether or not they touch i's route).
+                for &k in &direct[j] {
+                    if k != i && priority[k] < priority[i] {
+                        set.insert(k);
+                    }
+                }
+            }
+            let mut hp: Vec<usize> = set.into_iter().collect();
+            hp.sort_unstable();
+            hp
+        })
+        .collect()
+}
+
+/// A flow set on a `side × side` mesh: all-to-one towards a seeded node, or
+/// `pairs` seeded (source, destination) pairs, duplicates allowed.
+fn seeded_flow_set(side: u16, all_to_one: bool, pairs: usize, seed: u64) -> FlowSet {
+    let mesh = Mesh::square(side).unwrap();
+    let nodes = mesh.router_count() as u64;
+    let mut state = seed;
+    let mut draw = || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        NodeId(((z ^ (z >> 31)) % nodes) as usize)
+    };
+    if all_to_one {
+        return FlowSet::all_to_one(&mesh, mesh.coord_of(draw()).unwrap()).unwrap();
+    }
+    let pairs: Vec<(NodeId, NodeId)> = std::iter::repeat_with(|| (draw(), draw()))
+        .filter(|(src, dst)| src != dst)
+        .take(pairs)
+        .collect();
+    FlowSet::from_pairs(&mesh, pairs).unwrap()
+}
+
+/// Asserts the oracle's interferer lists equal the reference for every flow
+/// of `flows` under `vcs`.
+fn assert_interferers_match_reference(flows: &FlowSet, vcs: VcConfig) {
+    let config = NocConfig::regular(4);
+    let oracle = PreemptiveOracle::new(
+        flows,
+        &config,
+        &BufferConfig::uniform(config.input_buffer_flits),
+        vcs,
+    );
+    let priority: Vec<u8> = (0..flows.len())
+        .map(|index| oracle.priority_of(FlowId(index)).unwrap())
+        .collect();
+    for (index, expected) in reference_interferers(flows, &priority).iter().enumerate() {
+        assert_eq!(
+            oracle.interferers_of(FlowId(index)).unwrap(),
+            expected.as_slice(),
+            "flow {index} of {} under {}",
+            flows.len(),
+            vcs.label()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The preemptive oracle's bitset `hp(S_D ∪ S_I)` equals the hashed-set
+    /// reference for every flow: sides 2–12, all-to-one and seeded pairs (up
+    /// to 200 flows, so bitsets span up to four words), 2–4 VCs under both
+    /// assignment rules.
+    #[test]
+    fn preemptive_interferers_match_reference(
+        side in 2u16..=12,
+        all_to_one in any::<bool>(),
+        pairs in 1usize..=200,
+        seed in any::<u64>(),
+        vc_count in 2u32..=4,
+        by_distance in any::<bool>(),
+    ) {
+        let flows = seeded_flow_set(side, all_to_one, pairs, seed);
+        let assignment = if by_distance { VcAssignment::Distance } else { VcAssignment::FlowIndex };
+        assert_interferers_match_reference(&flows, VcConfig::new(vc_count, assignment).unwrap());
+    }
+}
+
+/// The same equivalence pinned at and across the 64-flow word boundaries,
+/// which random sizes hit only by chance.
+#[test]
+fn preemptive_interferers_match_reference_across_word_boundaries() {
+    for pairs in [63, 64, 65, 127, 128, 129] {
+        let flows = seeded_flow_set(12, false, pairs, pairs as u64);
+        for vc_count in 2..=4 {
+            for assignment in [VcAssignment::FlowIndex, VcAssignment::Distance] {
+                assert_interferers_match_reference(
+                    &flows,
+                    VcConfig::new(vc_count, assignment).unwrap(),
+                );
+            }
+        }
+    }
+    // 12×12 all-to-one: 143 flows, every one sharing the ejection link.
+    let flows = seeded_flow_set(12, true, 0, 0);
+    assert_eq!(flows.len(), 143);
+    assert_interferers_match_reference(&flows, VcConfig::new(3, VcAssignment::Distance).unwrap());
 }
 
 /// Non-proptest sanity check: the property harness file also exercises the
