@@ -1,17 +1,24 @@
 //! Criterion bench: scaling of the analytical WCTT models with mesh size —
 //! chained-blocking recursion (regular) vs weighted bandwidth-share model
-//! (WaW + WaP) — plus the WaW weight-table derivation and the construction
-//! of the priority-preemptive oracle.
+//! (WaW + WaP) — plus the WaW weight-table derivation, the construction of
+//! the priority-preemptive oracle and the per-scenario analysis set-up of a
+//! bursty conformance scenario.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use wnoc_core::analysis::oracle::{
+    oracle_suite_with_curve, BufferAwareOracle, GraphBufferAwareOracle,
+};
 use wnoc_core::analysis::preemptive::PreemptiveOracle;
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
+use wnoc_core::buffers::per_port_table;
 use wnoc_core::flow::FlowSet;
 use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, RouterTiming, VcAssignment, VcConfig};
+use wnoc_core::{
+    ArrivalCurve, BufferConfig, Coord, Mesh, NocConfig, RouterTiming, VcAssignment, VcConfig,
+};
 
 fn bench_regular_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/regular_corner_wctt");
@@ -87,11 +94,60 @@ fn bench_preemptive_oracle(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every oracle a bursty conformance scenario builds on an 8×8 all-to-one
+/// mesh with heterogeneous buffers: the bursty suite (its contention table
+/// cloned, as out of the campaign's flow-set cache) plus the three oracles
+/// of the ordering check — the depth-doubled buffer-aware oracle and the
+/// burst-free and raised-burst graph-based oracles.  Each builds its own
+/// weight table, so this group prices the table at the suite layer.
+fn bench_bursty_suite_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("analysis/bursty_suite_build");
+    let mesh = Mesh::square(8).unwrap();
+    let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
+    let counts = WeightTable::from_flow_set(&flows);
+    let config = NocConfig::waw_wap();
+    // Depths 1, 2, 4 and 8 spread over the ports.
+    let buffers = per_port_table(&mesh, |node, port| 1 << ((node.index() + port.index()) % 4));
+    let (burst, gap, cv) = (4, 20_000, 25);
+    group.bench_function("8x8", |b| {
+        b.iter(|| {
+            let suite = oracle_suite_with_curve(
+                &flows,
+                &config,
+                mesh,
+                &buffers,
+                VcConfig::single(),
+                counts.clone(),
+                ArrivalCurve::bursty(burst, gap).with_jitter(cv),
+            )
+            .unwrap();
+            let deepened = BufferAwareOracle::new(&flows, &config, mesh, buffers.scaled(2));
+            let collapsed = GraphBufferAwareOracle::new(
+                &flows,
+                &config,
+                mesh,
+                buffers.clone(),
+                ArrivalCurve::bursty(1, gap),
+            );
+            let raised = GraphBufferAwareOracle::new(
+                &flows,
+                &config,
+                mesh,
+                buffers.clone(),
+                ArrivalCurve::bursty(burst + 1, gap).with_jitter(cv),
+            );
+            black_box((suite, deepened, collapsed, raised))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_regular_model,
     bench_weighted_model,
     bench_weight_table,
-    bench_preemptive_oracle
+    bench_preemptive_oracle,
+    bench_bursty_suite_build
 );
 criterion_main!(benches);

@@ -31,8 +31,9 @@ use wnoc_core::analysis::preemptive::SATURATION_SENTINEL;
 use wnoc_core::analysis::BufferAwareWcttModel;
 use wnoc_core::buffers::per_port_table;
 use wnoc_core::fault::{reroute_flows, Reroute};
-use wnoc_core::flow::{FlowId, FlowSet, PortCounts};
+use wnoc_core::flow::{FlowId, FlowSet};
 use wnoc_core::vc::{VcAssignment, VcConfig};
+use wnoc_core::weights::WeightTable;
 use wnoc_core::{
     ArrivalCurve, BufferConfig, Coord, FaultPlan, Mesh, NocConfig, NodeId, Result,
     RetransmitPolicy, TreeRouting,
@@ -352,20 +353,18 @@ impl ScenarioFamily {
     }
 }
 
-/// A memo of materialised flow sets and their contention counts, keyed by
-/// `(mesh side, family)`.  Campaign samplers draw the same families
-/// repeatedly (there are only four paper placements, and hotspot positions
-/// collide across indices), and scenario startup pays twice for every repeat:
-/// route construction for the flow set and the O(total hops) contention-count
-/// rebuild behind the slot envelope.  A per-worker cache skips both — the
-/// counts are handed to [`oracle_suite_with_counts`], the same delta-
-/// maintained structure the incremental analysis engine and
-/// [`wnoc_core::analysis::oracle::SlotOracle::push_flow`] keep up to date —
-/// while outcomes stay byte-identical to uncached runs (the cache only ever
-/// returns what a fresh build would have produced).
+/// A memo of materialised flow sets and their contention tables, keyed by
+/// `(mesh width, mesh height, family)`.  Campaign samplers draw the same
+/// families repeatedly (there are only four paper placements, and hotspot
+/// positions collide across indices), and scenario startup pays twice for
+/// every repeat: route construction for the flow set and the contention count
+/// behind the slot envelope.  A per-worker cache skips both — the table is
+/// handed to [`oracle_suite_with_counts`] — while outcomes stay byte-identical
+/// to uncached runs (the cache only ever returns what a fresh build would
+/// have produced).
 #[derive(Debug, Default)]
 pub struct FlowSetCache {
-    entries: HashMap<(u16, String), (FlowSet, PortCounts)>,
+    entries: HashMap<(u16, u16, String), (FlowSet, WeightTable)>,
 }
 
 /// Cached families per worker before the memo resets; campaigns sample a few
@@ -388,7 +387,7 @@ impl FlowSetCache {
         self.entries.is_empty()
     }
 
-    /// The flow set and contention counts of `family` over `mesh`, built on
+    /// The flow set and contention table of `family` over `mesh`, built on
     /// first use and cloned out of the memo afterwards.
     ///
     /// # Errors
@@ -399,18 +398,13 @@ impl FlowSetCache {
         &mut self,
         mesh: &Mesh,
         family: &ScenarioFamily,
-    ) -> Result<(FlowSet, PortCounts)> {
-        let key = (mesh.width(), format!("{family:?}"));
+    ) -> Result<(FlowSet, WeightTable)> {
+        let key = (mesh.width(), mesh.height(), format!("{family:?}"));
         if let Some(entry) = self.entries.get(&key) {
             return Ok(entry.clone());
         }
         let flows = family.flow_set(mesh)?;
-        // Feed every route through the same add-delta the incremental layer
-        // and `SlotOracle::push_flow` use, rather than the bulk rebuild.
-        let mut counts = PortCounts::default();
-        for (id, _flow) in flows.iter() {
-            counts.add_route(flows.route(id).expect("member route"));
-        }
+        let counts = WeightTable::from_flow_set(&flows);
         if self.entries.len() >= FLOW_SET_CACHE_CAP {
             self.entries.clear();
         }
@@ -1060,13 +1054,9 @@ impl Scenario {
                 tightness: TightnessSummary::from_ratios(&[]),
             });
         }
-        // Contention counts of the rerouted set, fed through the same
-        // add-delta the healthy path uses (no cache: degraded sets are
+        // Contention table of the rerouted set (no cache: degraded sets are
         // plan-specific).
-        let mut counts = PortCounts::default();
-        for (id, _flow) in reroute.flows.iter() {
-            counts.add_route(reroute.flows.route(id).expect("member route"));
-        }
+        let counts = WeightTable::from_flow_set(&reroute.flows);
         let mut suite =
             oracle_suite_with_counts(&reroute.flows, config, *mesh, buffers, vcs, counts)?;
         let has_dominating = suite.iter().any(|oracle| oracle.dominates_observation());
@@ -1559,12 +1549,31 @@ mod tests {
         };
         let mut cache = FlowSetCache::new();
         let (flows, counts) = cache.get_or_build(&mesh, &family).unwrap();
-        assert_eq!(counts, wnoc_core::flow::PortCounts::from_flow_set(&flows));
+        assert_eq!(counts, WeightTable::from_flow_set(&flows));
         // The second build is a memo hit returning the identical entry.
         let (again_flows, again_counts) = cache.get_or_build(&mesh, &family).unwrap();
         assert_eq!(flows.pairs(), again_flows.pairs());
         assert_eq!(counts, again_counts);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn cache_keys_by_both_mesh_dimensions() {
+        // Two meshes of equal width but different heights must not share an
+        // entry: the 4x5 funnel has 19 flows, the 4x3 one only 11.
+        let family = ScenarioFamily::AllToOne {
+            hotspot: Coord::from_row_col(0, 0),
+        };
+        let mut cache = FlowSetCache::new();
+        for (height, flow_count) in [(3u16, 11usize), (5, 19)] {
+            let mesh = Mesh::new(4, height).unwrap();
+            let (flows, counts) = cache.get_or_build(&mesh, &family).unwrap();
+            assert_eq!(*flows.mesh(), mesh);
+            assert_eq!(*counts.mesh(), mesh);
+            assert_eq!(flows.len(), flow_count);
+            assert_eq!(counts, WeightTable::from_flow_set(&flows));
+        }
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

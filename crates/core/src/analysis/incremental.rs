@@ -51,7 +51,7 @@ use crate::buffers::BufferConfig;
 use crate::config::NocConfig;
 use crate::error::{Error, Result};
 use crate::fault::{reroute_flows, FaultKind, FaultSet, TreeRouting};
-use crate::flow::{FlowId, FlowSet, PortCounts};
+use crate::flow::{FlowId, FlowSet};
 use crate::geometry::{Coord, NodeId};
 use crate::packetization::PacketizationPolicy;
 use crate::port::Port;
@@ -245,11 +245,6 @@ pub struct IncrementalAnalysis {
     flows: FlowSet,
     buffers: BufferConfig,
     vcs: VcConfig,
-    /// Delta-maintained contention counts, kept only under WaW where the
-    /// slot contender terms read output-port totals.  Under round robin the
-    /// slot terms read pair supports, which the regular model already holds
-    /// in dense form, so no second count structure is maintained.
-    counts: Option<PortCounts>,
     /// Round robin: the dependency-tracked chained-blocking model, shared by
     /// the regular, UBD and preemptive compositions (their from-scratch
     /// counterparts all build this exact model).
@@ -343,10 +338,6 @@ impl IncrementalAnalysis {
             }
         };
         let n = flows.len();
-        let counts = match config.arbitration {
-            ArbitrationPolicy::RoundRobin => None,
-            ArbitrationPolicy::Waw => Some(PortCounts::from_flow_set(flows)),
-        };
         let columns = mesh.router_count() * Port::COUNT;
         let mut engine = Self {
             mesh,
@@ -354,7 +345,6 @@ impl IncrementalAnalysis {
             flows: flows.clone(),
             buffers: buffers.clone(),
             vcs,
-            counts,
             regular,
             weighted,
             buffer_aware,
@@ -840,13 +830,6 @@ impl IncrementalAnalysis {
     /// and invalidates the cached terms of the flows whose read sets the
     /// resulting change events touch.
     fn apply_route_events(&mut self, route: &crate::routing::Route, add: bool) {
-        if let Some(counts) = &mut self.counts {
-            if add {
-                counts.add_route(route);
-            } else {
-                counts.remove_route(route);
-            }
-        }
         let delta = self
             .regular
             .as_mut()
@@ -897,7 +880,6 @@ impl IncrementalAnalysis {
         let terms = {
             let Self {
                 flows,
-                counts,
                 regular,
                 weighted,
                 buffer_aware,
@@ -927,9 +909,11 @@ impl IncrementalAnalysis {
                         let model = regular.as_ref().expect("round robin keeps regular");
                         model.contender_count(hop.router, hop.input, hop.output) + 1
                     }
+                    // The weighted model's delta-maintained table holds
+                    // the output counts, so the engine keeps no copy.
                     ArbitrationPolicy::Waw => {
-                        let counts = counts.as_ref().expect("WaW maintains counts");
-                        counts.output_count(hop.router, hop.output).max(1) as u32
+                        let model = weighted.as_ref().expect("WaW keeps weighted");
+                        model.weights().output_flows(hop.router, hop.output).max(1)
                     }
                 };
                 worst = worst.max(contenders);

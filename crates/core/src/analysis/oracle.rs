@@ -47,7 +47,7 @@ use crate::arrival::ArrivalCurve;
 use crate::buffers::BufferConfig;
 use crate::config::NocConfig;
 use crate::error::{Error, Result};
-use crate::flow::{FlowId, FlowSet, PortCounts};
+use crate::flow::{FlowId, FlowSet};
 use crate::packetization::PacketizationPolicy;
 use crate::routing::Route;
 use crate::topology::Mesh;
@@ -489,25 +489,23 @@ pub struct SlotOracle {
     /// Flows per `(router, input, output)` pair and per `(router, output)`
     /// port: the envelope queries contention for every hop of every route,
     /// and rescanning the flow set per query made this oracle dominate whole
-    /// conformance campaigns.  Held as the incrementally-maintainable
-    /// [`PortCounts`] so callers that already track the counts (the
-    /// conformance campaign's flow-set cache, the incremental analysis
-    /// engine) can hand them over instead of paying the O(total hops) rescan
-    /// `SlotOracle::new` performs.
-    counts: PortCounts,
+    /// conformance campaigns.  Callers that already hold the set's table (the
+    /// conformance campaign's flow-set cache) hand it over through
+    /// [`SlotOracle::with_counts`].
+    counts: WeightTable,
 }
 
 impl SlotOracle {
     /// Builds the envelope oracle for `flows` under `config`, counting the
     /// flow set's port contention in one pass.
     pub fn new(flows: &FlowSet, config: &NocConfig) -> Self {
-        Self::with_counts(flows, config, PortCounts::from_flow_set(flows))
+        Self::with_counts(flows, config, WeightTable::from_flow_set(flows))
     }
 
-    /// Like [`SlotOracle::new`], but reusing already-maintained contention
-    /// counts (`counts` must equal `PortCounts::from_flow_set(flows)`).
-    pub fn with_counts(flows: &FlowSet, config: &NocConfig, counts: PortCounts) -> Self {
-        debug_assert_eq!(counts, PortCounts::from_flow_set(flows));
+    /// Like [`SlotOracle::new`], but reusing an already-built contention
+    /// table (`counts` must equal `WeightTable::from_flow_set(flows)`).
+    pub fn with_counts(flows: &FlowSet, config: &NocConfig, counts: WeightTable) -> Self {
+        debug_assert_eq!(counts, WeightTable::from_flow_set(flows));
         Self {
             flows: flows.clone(),
             arbitration: config.arbitration,
@@ -531,7 +529,7 @@ impl SlotOracle {
     ) -> Result<FlowId> {
         let id = self.flows.push_pair(src, dst)?;
         let route = self.flows.route(id).expect("just pushed");
-        self.counts.add_route(route);
+        self.counts.apply_route_delta(route, true);
         Ok(id)
     }
 
@@ -540,7 +538,7 @@ impl SlotOracle {
     pub fn pop_flow(&mut self) -> bool {
         match self.flows.pop() {
             Some((_flow, route)) => {
-                self.counts.remove_route(&route);
+                self.counts.apply_route_delta(&route, false);
                 true
             }
             None => false,
@@ -560,15 +558,13 @@ impl SlotOracle {
                         .filter(|&&p| {
                             p != hop.input
                                 && p != hop.output
-                                && self.counts.pair_count(hop.router, p, hop.output) > 0
+                                && self.counts.quota(hop.router, p, hop.output) > 0
                         })
                         .count() as u32;
                     others + 1
                 }
                 // WaW shares the port between the flows using it.
-                ArbitrationPolicy::Waw => {
-                    self.counts.output_count(hop.router, hop.output).max(1) as u32
-                }
+                ArbitrationPolicy::Waw => self.counts.output_flows(hop.router, hop.output).max(1),
             };
             worst = worst.max(slot::contended_port_latency(
                 contenders,
@@ -735,14 +731,14 @@ pub fn oracle_suite_with_vcs(
         mesh,
         buffers,
         vcs,
-        PortCounts::from_flow_set(flows),
+        WeightTable::from_flow_set(flows),
     )
 }
 
-/// [`oracle_suite_with_vcs`] reusing already-maintained contention counts
-/// (`counts` must equal `PortCounts::from_flow_set(flows)`), so callers that
-/// keep the counts up to date by delta — the conformance campaign's flow-set
-/// cache — skip the slot envelope's O(total hops) rescan.
+/// [`oracle_suite_with_vcs`] reusing an already-built contention table
+/// (`counts` must equal `WeightTable::from_flow_set(flows)`), so callers that
+/// keep the table — the conformance campaign's flow-set cache — hand it to
+/// the slot envelope instead of recounting the routes.
 ///
 /// # Errors
 ///
@@ -754,7 +750,7 @@ pub fn oracle_suite_with_counts(
     mesh: Mesh,
     buffers: &BufferConfig,
     vcs: VcConfig,
-    counts: PortCounts,
+    counts: WeightTable,
 ) -> Result<Vec<Box<dyn WcttBoundModel>>> {
     config.validate()?;
     buffers.validate(&mesh)?;
@@ -820,7 +816,7 @@ pub fn oracle_suite_with_counts(
 /// term covers the backlog) claims observation safety.  A multi-VC platform
 /// demotes `graph-ba` too, like every other weighted analysis.
 ///
-/// `counts` must equal `PortCounts::from_flow_set(flows)`, as in
+/// `counts` must equal `WeightTable::from_flow_set(flows)`, as in
 /// [`oracle_suite_with_counts`].
 ///
 /// # Errors
@@ -835,7 +831,7 @@ pub fn oracle_suite_with_curve(
     mesh: Mesh,
     buffers: &BufferConfig,
     vcs: VcConfig,
-    counts: PortCounts,
+    counts: WeightTable,
     curve: ArrivalCurve,
 ) -> Result<Vec<Box<dyn WcttBoundModel>>> {
     config.validate()?;
@@ -1196,7 +1192,6 @@ mod tests {
 
     #[test]
     fn bursty_suite_covers_all_six_analyses_with_graph_ba_dominating() {
-        use crate::flow::PortCounts;
         let mesh = Mesh::square(4).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
         let config = NocConfig::waw_wap();
@@ -1207,7 +1202,7 @@ mod tests {
             mesh,
             &BufferConfig::uniform(4),
             VcConfig::single(),
-            PortCounts::from_flow_set(&flows),
+            WeightTable::from_flow_set(&flows),
             curve,
         )
         .unwrap();
@@ -1233,7 +1228,7 @@ mod tests {
             mesh,
             &BufferConfig::uniform(4),
             VcConfig::single(),
-            PortCounts::from_flow_set(&flows),
+            WeightTable::from_flow_set(&flows),
             curve,
         )
         .is_err());

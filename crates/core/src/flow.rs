@@ -3,13 +3,13 @@
 //! A *flow* is an ordered (source, destination) node pair.  The WaW arbitration
 //! weights of Section III are derived from the number of flows that can traverse
 //! each input and output port of every router, which is statically known thanks
-//! to XY routing.  [`FlowSet`] enumerates a concrete set of flows and counts them
-//! per port; [`all_to_all_input_count`]/[`all_to_all_output_count`] give the
-//! closed-form counts from the paper for the all-to-all flow set (assumption (1)
-//! in Section II.A: *every node is able to send and receive packets to/from any
-//! other node*).
-
-use std::collections::HashMap;
+//! to XY routing.  [`FlowSet`] enumerates a concrete set of flows and answers
+//! per-port queries by scanning its routes; the analyses and the simulator read
+//! the counts from the dense [`crate::weights::WeightTable`] built from a flow
+//! set instead.  [`paper_input_source_count`]/[`paper_output_source_count`] give
+//! the closed-form counts from the paper for the all-to-all flow set
+//! (assumption (1) in Section II.A: *every node is able to send and receive
+//! packets to/from any other node*).
 
 use serde::{Deserialize, Serialize};
 
@@ -298,49 +298,21 @@ impl FlowSet {
     /// output-consistent flow sets and downgrades the analysis to
     /// ordering-only elsewhere.
     pub fn is_output_consistent(&self) -> bool {
-        let mut seen: HashMap<(Coord, Port), Port> = HashMap::new();
+        // The output each `(router, input)` buffer feeds so far, densely
+        // indexed `node · 5 + input`; `None` until a flow uses the buffer.
+        let width = usize::from(self.mesh.width());
+        let mut feeds: Vec<Option<Port>> = vec![None; self.mesh.router_count() * Port::COUNT];
         for route in &self.routes {
             for hop in route.hops() {
-                match seen.entry((hop.router, hop.input)) {
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(hop.output);
-                    }
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        if *entry.get() != hop.output {
-                            return false;
-                        }
-                    }
+                let node = usize::from(hop.router.y) * width + usize::from(hop.router.x);
+                match &mut feeds[node * Port::COUNT + hop.input.index()] {
+                    slot @ None => *slot = Some(hop.output),
+                    Some(output) if *output != hop.output => return false,
+                    Some(_) => {}
                 }
             }
         }
         true
-    }
-
-    /// For every router, the number of flows per output port, as a map.  Useful
-    /// for utilisation and bottleneck reporting.
-    pub fn output_count_map(&self) -> HashMap<(Coord, Port), usize> {
-        let mut map = HashMap::new();
-        for route in &self.routes {
-            for hop in route.hops() {
-                *map.entry((hop.router, hop.output)).or_insert(0) += 1;
-            }
-        }
-        map
-    }
-
-    /// For every router, the number of flows per `(input, output)` port pair,
-    /// as a map — [`FlowSet::port_pair_count`] precomputed in one O(total
-    /// hops) pass.  Analyses that query contention for every hop of every
-    /// route (the slot envelope) use this instead of rescanning the flow set
-    /// per query.
-    pub fn port_pair_count_map(&self) -> HashMap<(Coord, Port, Port), usize> {
-        let mut map = HashMap::new();
-        for route in &self.routes {
-            for hop in route.hops() {
-                *map.entry((hop.router, hop.input, hop.output)).or_insert(0) += 1;
-            }
-        }
-        map
     }
 
     /// The (source, destination) pairs of the set, in flow-id order — the
@@ -395,96 +367,6 @@ impl FlowSet {
         let route = XyRouting.route(&self.mesh, src_c, dst_c)?;
         self.flows[id.0] = flow;
         Ok(std::mem::replace(&mut self.routes[id.0], route))
-    }
-}
-
-/// Per-port contention counts of a [`FlowSet`], maintained **incrementally**
-/// as flows are added and removed instead of rescanned from scratch.
-///
-/// Holds exactly the two maps the analyses consume — flows per
-/// `(router, input, output)` pair ([`FlowSet::port_pair_count_map`]) and per
-/// `(router, output)` port ([`FlowSet::output_count_map`]) — with the
-/// invariant that zero-count entries are *removed*, so the maps stay equal
-/// (as `HashMap` values) to freshly-built ones after any sequence of
-/// [`PortCounts::add_route`] / [`PortCounts::remove_route`] calls.
-///
-/// The slot envelope ([`crate::analysis::SlotOracle`]), the incremental
-/// analysis engine ([`crate::analysis::incremental`]) and the conformance
-/// campaign's flow-set cache all share this structure, which is what lets a
-/// single-flow mutation skip the O(total hops) rescan `SlotOracle::new`
-/// historically paid on every construction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortCounts {
-    pairs: HashMap<(Coord, Port, Port), usize>,
-    outputs: HashMap<(Coord, Port), usize>,
-}
-
-impl PortCounts {
-    /// Builds the counts of `flows` in one pass (equivalent to folding
-    /// [`PortCounts::add_route`] over every route).
-    pub fn from_flow_set(flows: &FlowSet) -> Self {
-        let mut counts = Self::default();
-        for route in &flows.routes {
-            counts.add_route(route);
-        }
-        counts
-    }
-
-    /// Registers one route's hops.
-    pub fn add_route(&mut self, route: &Route) {
-        for hop in route.hops() {
-            *self
-                .pairs
-                .entry((hop.router, hop.input, hop.output))
-                .or_insert(0) += 1;
-            *self.outputs.entry((hop.router, hop.output)).or_insert(0) += 1;
-        }
-    }
-
-    /// Removes one previously-registered route's hops.  Entries that reach
-    /// zero are deleted so the maps remain equal to fresh construction.
-    pub fn remove_route(&mut self, route: &Route) {
-        for hop in route.hops() {
-            let pair_key = (hop.router, hop.input, hop.output);
-            if let Some(count) = self.pairs.get_mut(&pair_key) {
-                *count -= 1;
-                if *count == 0 {
-                    self.pairs.remove(&pair_key);
-                }
-            } else {
-                debug_assert!(false, "removing a route that was never added");
-            }
-            let out_key = (hop.router, hop.output);
-            if let Some(count) = self.outputs.get_mut(&out_key) {
-                *count -= 1;
-                if *count == 0 {
-                    self.outputs.remove(&out_key);
-                }
-            }
-        }
-    }
-
-    /// Flows traversing `router` from `input` to `output`.
-    pub fn pair_count(&self, router: Coord, input: Port, output: Port) -> usize {
-        self.pairs
-            .get(&(router, input, output))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Flows leaving `router` through `output`.
-    pub fn output_count(&self, router: Coord, output: Port) -> usize {
-        self.outputs.get(&(router, output)).copied().unwrap_or(0)
-    }
-
-    /// The pair-count map (equal to [`FlowSet::port_pair_count_map`]).
-    pub fn pair_map(&self) -> &HashMap<(Coord, Port, Port), usize> {
-        &self.pairs
-    }
-
-    /// The output-count map (equal to [`FlowSet::output_count_map`]).
-    pub fn output_map(&self) -> &HashMap<(Coord, Port), usize> {
-        &self.outputs
     }
 }
 
@@ -779,14 +661,14 @@ mod tests {
 
     #[test]
     fn output_count_map_consistent() {
+        // The dense weight table is the output-count map of the set.
         let mesh = Mesh::square(3).unwrap();
         let fs = FlowSet::all_to_one(&mesh, Coord::new(2, 2)).unwrap();
-        let map = fs.output_count_map();
+        let table = crate::weights::WeightTable::from_flow_set(&fs);
         for router in mesh.routers() {
             for port in mesh.ports(router) {
                 let expected = fs.output_count(router, port);
-                let got = map.get(&(router, port)).copied().unwrap_or(0);
-                assert_eq!(expected, got);
+                assert_eq!(expected, table.output_flows(router, port) as usize);
             }
         }
     }

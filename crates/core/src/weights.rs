@@ -27,14 +27,26 @@
 //! counts divided by their greatest common divisor within each output port, so
 //! that the arbitration round is as short as possible while preserving the
 //! bandwidth ratios.
-
-use std::collections::HashMap;
+//!
+//! # Layout
+//!
+//! One table type holds the flow counts every WaW consumer reads: the
+//! simulator's WaW arbiters, every weighted bound (paper, backpressured,
+//! buffer-aware, graph-based bursty), the slot envelope, the incremental
+//! analysis engine and the conformance flow-set cache.  Counts are stored
+//! densely, one *column* per `(router, output)` port at index
+//! `node · 5 + output` (the same column index the regular model, the
+//! incremental engine and the preemptive oracle use): `outputs[column]` is
+//! the output count `O` and `pairs[column · 5 + input]` the pair count.  A
+//! bound reads `O` at every hop of every route, so a read is one bounds
+//! check and one load rather than a hash; an unused port simply holds 0.
 
 use serde::{Deserialize, Serialize};
 
 use crate::flow::{paper_input_source_count, paper_output_source_count, FlowSet};
 use crate::geometry::Coord;
 use crate::port::Port;
+use crate::routing::{Hop, Route};
 use crate::topology::Mesh;
 
 /// Per-router, per (input, output) pair arbitration weights for a whole mesh.
@@ -59,37 +71,37 @@ use crate::topology::Mesh;
 /// assert!((w_north - 2.0 / 3.0).abs() < 1e-9);
 /// # Ok::<(), wnoc_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WeightTable {
     mesh: Mesh,
-    /// quotas[(router, input, output)] = number of flows using that pair.
-    quotas: HashMap<(Coord, Port, Port), u32>,
-    /// outputs[(router, output)] = total number of flows using that output.
-    outputs: HashMap<(Coord, Port), u32>,
+    /// Flows leaving through each `(router, output)` port, indexed by column
+    /// `node · 5 + output`.
+    outputs: Vec<u32>,
+    /// Flows through each `(router, input, output)` pair, indexed
+    /// `column · 5 + input`: the inputs contending for one output are
+    /// adjacent.
+    pairs: Vec<u32>,
 }
 
 impl WeightTable {
     /// Derives weights from a concrete flow set (each flow routed with XY).
     pub fn from_flow_set(flows: &FlowSet) -> Self {
         let mesh = *flows.mesh();
-        let mut quotas: HashMap<(Coord, Port, Port), u32> = HashMap::new();
-        let mut outputs: HashMap<(Coord, Port), u32> = HashMap::new();
+        let columns = mesh.router_count() * Port::COUNT;
+        let mut table = Self {
+            mesh,
+            outputs: vec![0; columns],
+            pairs: vec![0; columns * Port::COUNT],
+        };
         // Single pass over every flow's route: each traversed hop contributes
         // one flow to its (router, input, output) pair and to its output port.
         for (id, _flow) in flows.iter() {
             let route = flows.route(id).expect("every flow has a route");
             for hop in route.hops() {
-                *quotas
-                    .entry((hop.router, hop.input, hop.output))
-                    .or_insert(0) += 1;
-                *outputs.entry((hop.router, hop.output)).or_insert(0) += 1;
+                table.count_hop(hop, true);
             }
         }
-        Self {
-            mesh,
-            quotas,
-            outputs,
-        }
+        table
     }
 
     /// Derives the statically precomputable weights for the all-to-all flow set
@@ -108,19 +120,57 @@ impl WeightTable {
         &self.mesh
     }
 
-    /// Raw quota of `(input, output)` at `router`: the number of flows that
-    /// traverse the router from `input` to `output`.  Zero if no flow uses the
-    /// pair.
-    pub fn quota(&self, router: Coord, input: Port, output: Port) -> u32 {
-        self.quotas
-            .get(&(router, input, output))
-            .copied()
-            .unwrap_or(0)
+    /// Dense column index of the `(router, output)` port, or `None` if
+    /// `router` lies outside the mesh.
+    #[inline]
+    fn column(&self, router: Coord, output: Port) -> Option<usize> {
+        self.mesh.contains(router).then(|| {
+            let node =
+                usize::from(router.y) * usize::from(self.mesh.width()) + usize::from(router.x);
+            node * Port::COUNT + output.index()
+        })
     }
 
-    /// Total number of flows using output port `output` at `router`.
+    /// Pair counts of every input toward the output of `column`, in
+    /// input-port index order.
+    fn column_pairs(&self, column: usize) -> &[u32] {
+        &self.pairs[column * Port::COUNT..(column + 1) * Port::COUNT]
+    }
+
+    /// Registers (`add`) or removes one flow's traversal of `hop`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hop's router lies outside the mesh.
+    fn count_hop(&mut self, hop: &Hop, add: bool) {
+        let column = self
+            .column(hop.router, hop.output)
+            .expect("route hops lie inside the table's mesh");
+        let pair = &mut self.pairs[column * Port::COUNT + hop.input.index()];
+        let output = &mut self.outputs[column];
+        if add {
+            *pair += 1;
+            *output += 1;
+        } else {
+            debug_assert!(*pair > 0, "removing a route that was never added");
+            *pair = pair.saturating_sub(1);
+            *output = output.saturating_sub(1);
+        }
+    }
+
+    /// Raw quota of `(input, output)` at `router`: the number of flows that
+    /// traverse the router from `input` to `output`.  Zero if no flow uses the
+    /// pair or `router` lies outside the mesh.
+    pub fn quota(&self, router: Coord, input: Port, output: Port) -> u32 {
+        self.column(router, output)
+            .map_or(0, |column| self.column_pairs(column)[input.index()])
+    }
+
+    /// Total number of flows using output port `output` at `router` (zero
+    /// outside the mesh).
     pub fn output_flows(&self, router: Coord, output: Port) -> u32 {
-        self.outputs.get(&(router, output)).copied().unwrap_or(0)
+        self.column(router, output)
+            .map_or(0, |column| self.outputs[column])
     }
 
     /// Normalised weight `W(input, output)` — the fraction of the output port's
@@ -156,14 +206,15 @@ impl WeightTable {
     /// round is as short as possible.  Returns `(input, quota)` pairs sorted by
     /// input-port index; inputs without flows toward `output` are omitted.
     pub fn reduced_quotas(&self, router: Coord, output: Port) -> Vec<(Port, u32)> {
+        let Some(column) = self.column(router, output) else {
+            return Vec::new();
+        };
+        // `Port::ALL` is in index order, so the list comes out sorted.
         let mut raw: Vec<(Port, u32)> = Port::ALL
-            .iter()
-            .filter_map(|&input| {
-                let q = self.quota(router, input, output);
-                (q > 0).then_some((input, q))
-            })
+            .into_iter()
+            .zip(self.column_pairs(column).iter().copied())
+            .filter(|&(_, q)| q > 0)
             .collect();
-        raw.sort_by_key(|(p, _)| p.index());
         let divisor = raw.iter().fold(0u32, |acc, (_, q)| gcd(acc, *q));
         if divisor > 1 {
             for (_, q) in &mut raw {
@@ -173,57 +224,40 @@ impl WeightTable {
         raw
     }
 
-    /// All (input, output) pairs with a non-zero quota at `router`, sorted for
-    /// deterministic iteration.
+    /// All (input, output) pairs with a non-zero quota at `router`, sorted by
+    /// `(output, input)` port index for deterministic iteration.
     pub fn pairs(&self, router: Coord) -> Vec<(Port, Port, u32)> {
-        let mut pairs: Vec<(Port, Port, u32)> = self
-            .quotas
-            .iter()
-            .filter(|((r, _, _), _)| *r == router)
-            .map(|((_, i, o), q)| (*i, *o, *q))
-            .collect();
-        pairs.sort_by_key(|(i, o, _)| (o.index(), i.index()));
+        let mut pairs = Vec::new();
+        for output in Port::ALL {
+            let Some(column) = self.column(router, output) else {
+                continue;
+            };
+            for (input, &quota) in Port::ALL.into_iter().zip(self.column_pairs(column)) {
+                if quota > 0 {
+                    pairs.push((input, output, quota));
+                }
+            }
+        }
         pairs
     }
 
     /// Applies one route's hops to the table (`add` registers the flow, `!add`
     /// removes a previously-registered one), returning the `(router, output)`
-    /// ports whose flow count changed.  Entries reaching zero are deleted, so
-    /// the table stays equal to one rebuilt by
-    /// [`WeightTable::from_flow_set`] over the mutated flow set.
+    /// ports whose flow count changed.  The table stays equal to one rebuilt
+    /// by [`WeightTable::from_flow_set`] over the mutated flow set.
     ///
     /// The weighted analyses read flow counts by magnitude, so — unlike the
     /// support-only invalidation of the regular model — every hop of the
     /// route appears in the returned list.
-    pub fn apply_route_delta(
-        &mut self,
-        route: &crate::routing::Route,
-        add: bool,
-    ) -> Vec<(Coord, Port)> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hop of `route` lies outside the table's mesh.
+    pub fn apply_route_delta(&mut self, route: &Route, add: bool) -> Vec<(Coord, Port)> {
         let mut changed = Vec::with_capacity(route.hops().len());
         for hop in route.hops() {
-            let pair_key = (hop.router, hop.input, hop.output);
-            let out_key = (hop.router, hop.output);
-            if add {
-                *self.quotas.entry(pair_key).or_insert(0) += 1;
-                *self.outputs.entry(out_key).or_insert(0) += 1;
-            } else {
-                if let Some(q) = self.quotas.get_mut(&pair_key) {
-                    *q = q.saturating_sub(1);
-                    if *q == 0 {
-                        self.quotas.remove(&pair_key);
-                    }
-                } else {
-                    debug_assert!(false, "removing a route that was never added");
-                }
-                if let Some(o) = self.outputs.get_mut(&out_key) {
-                    *o = o.saturating_sub(1);
-                    if *o == 0 {
-                        self.outputs.remove(&out_key);
-                    }
-                }
-            }
-            changed.push(out_key);
+            self.count_hop(hop, add);
+            changed.push((hop.router, hop.output));
         }
         changed
     }

@@ -1,7 +1,7 @@
 //! Property-based tests over the core primitives: routing, flow counting,
 //! weights, packetization, arbitration and the preemptive interference sets.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -13,7 +13,7 @@ use wnoc_core::flow::FlowSet;
 use wnoc_core::geometry::Coord;
 use wnoc_core::packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry};
 use wnoc_core::port::{Direction, Port};
-use wnoc_core::routing::{xy_turn_allowed, RoutingAlgorithm, XyRouting};
+use wnoc_core::routing::{xy_turn_allowed, Route, RoutingAlgorithm, XyRouting};
 use wnoc_core::topology::Mesh;
 use wnoc_core::weights::WeightTable;
 use wnoc_core::{BufferConfig, FlowId, MessageId, NocConfig, NodeId, VcAssignment, VcConfig};
@@ -409,6 +409,122 @@ fn preemptive_interferers_match_reference_across_word_boundaries() {
     let flows = seeded_flow_set(12, true, 0, 0);
     assert_eq!(flows.len(), 143);
     assert_interferers_match_reference(&flows, VcConfig::new(3, VcAssignment::Distance).unwrap());
+}
+
+fn gcd(a: u32, b: u32) -> u32 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Asserts every read of `table` matches the `HashMap` counts of `routes`,
+/// the live routes it was built or delta-maintained from.
+fn assert_table_matches_routes(table: &WeightTable, mesh: &Mesh, routes: &[Route]) {
+    let mut pair_counts: HashMap<(Coord, Port, Port), u32> = HashMap::new();
+    let mut output_counts: HashMap<(Coord, Port), u32> = HashMap::new();
+    for hop in routes.iter().flat_map(|route| route.hops()) {
+        *pair_counts
+            .entry((hop.router, hop.input, hop.output))
+            .or_default() += 1;
+        *output_counts.entry((hop.router, hop.output)).or_default() += 1;
+    }
+    for router in mesh.routers() {
+        let mut expected_pairs = Vec::new();
+        for output in Port::ALL {
+            let flows = output_counts.get(&(router, output)).copied().unwrap_or(0);
+            assert_eq!(
+                table.output_flows(router, output),
+                flows,
+                "{router} {output}"
+            );
+            let mut raw = Vec::new();
+            for input in Port::ALL {
+                let quota = pair_counts
+                    .get(&(router, input, output))
+                    .copied()
+                    .unwrap_or(0);
+                assert_eq!(table.quota(router, input, output), quota);
+                if quota > 0 {
+                    raw.push((input, quota));
+                    expected_pairs.push((input, output, quota));
+                }
+            }
+            let divisor = raw.iter().fold(0, |acc, &(_, quota)| gcd(acc, quota));
+            let reduced: Vec<(Port, u32)> = raw
+                .iter()
+                .map(|&(input, quota)| (input, quota / divisor))
+                .collect();
+            assert_eq!(table.reduced_quotas(router, output), reduced);
+        }
+        assert_eq!(table.pairs(router), expected_pairs, "{router}");
+    }
+    // Coordinates outside the mesh read zero, including the ones a row-major
+    // index without a bounds check would alias onto a real router.
+    let (w, h) = (mesh.width(), mesh.height());
+    for outside in [Coord::new(w, 0), Coord::new(0, h), Coord::new(w + 3, h + 1)] {
+        for output in Port::ALL {
+            assert_eq!(table.output_flows(outside, output), 0);
+            assert!(table.reduced_quotas(outside, output).is_empty());
+            for input in Port::ALL {
+                assert_eq!(table.quota(outside, input, output), 0);
+            }
+        }
+        assert!(table.pairs(outside).is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The dense weight table, built from a random pair set on a non-square
+    /// mesh and then delta-maintained through random route additions and
+    /// removals, agrees after every step with `HashMap` counts of the live
+    /// routes and with a rebuild from the mutated flow set.
+    #[test]
+    fn weight_table_deltas_match_reference(
+        (w, h) in (2u16..=7, 2u16..=7).prop_filter("non-square", |(w, h)| w != h),
+        initial in prop::collection::vec((any::<u32>(), any::<u32>()), 0..24),
+        steps in prop::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 1..32),
+    ) {
+        let mesh = Mesh::new(w, h).unwrap();
+        let nodes = mesh.router_count() as u32;
+        let pair = |a: u32, b: u32| {
+            let src = a % nodes;
+            // Offsetting by 1..nodes keeps the destination distinct.
+            let dst = (src + 1 + b % (nodes - 1)) % nodes;
+            (NodeId(src as usize), NodeId(dst as usize))
+        };
+        let route_of = |(src, dst): (NodeId, NodeId)| {
+            XyRouting
+                .route(&mesh, mesh.coord_of(src).unwrap(), mesh.coord_of(dst).unwrap())
+                .unwrap()
+        };
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            initial.iter().map(|&(a, b)| pair(a, b)).collect();
+        let mut routes: Vec<Route> = pairs.iter().map(|&p| route_of(p)).collect();
+        let mut table = WeightTable::from_flow_set(&FlowSet::from_pairs(&mesh, pairs.clone()).unwrap());
+        assert_table_matches_routes(&table, &mesh, &routes);
+        for (add, a, b) in steps {
+            if add || pairs.is_empty() {
+                let added = pair(a, b);
+                let route = route_of(added);
+                let changed = table.apply_route_delta(&route, true);
+                prop_assert_eq!(changed.len(), route.hops().len());
+                pairs.push(added);
+                routes.push(route);
+            } else {
+                let index = a as usize % pairs.len();
+                pairs.swap_remove(index);
+                let route = routes.swap_remove(index);
+                table.apply_route_delta(&route, false);
+            }
+            assert_table_matches_routes(&table, &mesh, &routes);
+            let rebuilt = WeightTable::from_flow_set(&FlowSet::from_pairs(&mesh, pairs.clone()).unwrap());
+            prop_assert_eq!(&table, &rebuilt);
+        }
+    }
 }
 
 /// Non-proptest sanity check: the property harness file also exercises the
