@@ -26,7 +26,7 @@ use wnoc_core::analysis::oracle::{
     BufferAwareOracle, RegularOracle, WcttBoundModel, WeightedFlavor, WeightedOracle,
 };
 use wnoc_core::flow::FlowSet;
-use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, Result};
+use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, Result, VcConfig};
 use wnoc_sim::Simulation;
 
 /// The uniform depths swept, in flits (4 is the historical default, the last
@@ -89,7 +89,8 @@ impl BufferSweepTable {
                 let mut points = Vec::with_capacity(DEPTHS.len());
                 for depth in DEPTHS {
                     let buffers = BufferConfig::uniform(depth);
-                    let mut sim = Simulation::with_buffers(mesh, config, &flows, &buffers)?;
+                    let mut sim =
+                        Simulation::with_vcs(mesh, config, &flows, &buffers, VcConfig::single())?;
                     let report = sim.run_closed_loop(&flows, message_flits, cycles)?;
                     points.push(DepthPoint {
                         depth,
@@ -223,7 +224,8 @@ mod tests {
         let mut last_ba = u64::MAX;
         for depth in DEPTHS {
             let buffers = BufferConfig::uniform(depth);
-            let mut sim = Simulation::with_buffers(mesh, config, &flows, &buffers).unwrap();
+            let mut sim =
+                Simulation::with_vcs(mesh, config, &flows, &buffers, VcConfig::single()).unwrap();
             let report = sim.run_closed_loop(&flows, 1, 1_500).unwrap();
             let ba = worst_buffer_aware_bound(&flows, &config, mesh, &buffers, 1).unwrap();
             // Dominance at every depth, monotone tightening across depths.

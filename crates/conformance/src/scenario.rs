@@ -30,7 +30,7 @@ use wnoc_core::analysis::oracle::{
 use wnoc_core::analysis::preemptive::SATURATION_SENTINEL;
 use wnoc_core::analysis::BufferAwareWcttModel;
 use wnoc_core::buffers::per_port_table;
-use wnoc_core::fault::{reroute_flows, Reroute};
+use wnoc_core::fault::reroute_flows;
 use wnoc_core::flow::{FlowId, FlowSet};
 use wnoc_core::vc::{VcAssignment, VcConfig};
 use wnoc_core::weights::WeightTable;
@@ -958,25 +958,93 @@ impl Scenario {
                 )?
             }
         };
-        let simulated_cycles = sim.stats().cycles;
-
-        if let Some(plan) = &fault_plan {
-            return self.faulted_outcome(
-                &mesh,
+        let unjudged = ScenarioOutcome {
+            scenario: self.clone(),
+            flow_count: flows.len(),
+            observed: report.overall(),
+            simulated_cycles: sim.stats().cycles,
+            dominance_checked: false,
+            violations: Vec::new(),
+            ordering_violations: Vec::new(),
+            tightness: TightnessSummary::from_ratios(&[]),
+        };
+        let Some(plan) = &fault_plan else {
+            // Stats can contain ids the network registered on demand;
+            // conformance only judges the statically analysed flows.
+            return self.judge(
+                unjudged,
+                mesh,
                 &flows,
-                &config,
+                counts,
                 &buffers,
                 vcs,
-                plan,
                 &report,
-                simulated_cycles,
+                |flow: FlowId| flows.route(flow).map(|_| flow),
             );
+        };
+        // The simulator has already proved the liveness half of a fault
+        // scenario: the run drained — retransmitting NACKed survivors and
+        // dropping severed traffic — instead of deadlocking or wedging.  The
+        // analytic checks apply on top only when every fault activated at
+        // cycle 0: every observation then happened on the tree-routed
+        // topology, so the surviving flows are rerouted ([`reroute_flows`] —
+        // the same construction the incremental engine's fault mutations are
+        // verified against) and judged like a healthy run.  A mid-run
+        // activation mixes healthy-epoch and degraded-epoch traversals (a
+        // probe NACKed by the flush spans the outage end-to-end); no single
+        // oracle bounds that mixture, so the scenario is drain-only.
+        let reroute = reroute_flows(&flows, &TreeRouting::new(&plan.final_set(&mesh)))?;
+        let degraded_from_start = plan.activations().iter().all(|&cycle| cycle == 0);
+        if !degraded_from_start || reroute.flows.is_empty() {
+            return Ok(unjudged);
         }
+        // The report keys observations by original flow id, while the
+        // degraded oracles index the densely re-indexed rerouted set.
+        // Severed pairs carry no bound (and no observation: the closed loop
+        // refuses their offers).
+        let mut degraded_ids = vec![None; flows.len()];
+        for (position, original) in reroute.surviving.iter().enumerate() {
+            degraded_ids[original.0] = Some(FlowId(position));
+        }
+        // Contention table of the rerouted set (no cache: degraded sets are
+        // plan-specific).
+        let counts = WeightTable::from_flow_set(&reroute.flows);
+        self.judge(
+            unjudged,
+            mesh,
+            &reroute.flows,
+            counts,
+            &buffers,
+            vcs,
+            &report,
+            |flow: FlowId| degraded_ids.get(flow.0).copied().flatten(),
+        )
+    }
 
+    /// Judges a finished run against the oracle suite of `analysed`, the
+    /// flow set the analyses see (the sampled set, or the rerouted survivors
+    /// of a degraded run): dominance when a dominating oracle exists and the
+    /// design admits it, then the cross-analysis ordering.  `analysed_id`
+    /// maps a report's flow id to its id in `analysed` (`None`: not
+    /// judged); violations keep the report's id, which is what a
+    /// reproduction needs.
+    #[allow(clippy::too_many_arguments)]
+    fn judge(
+        &self,
+        mut outcome: ScenarioOutcome,
+        mesh: Mesh,
+        analysed: &FlowSet,
+        counts: WeightTable,
+        buffers: &BufferConfig,
+        vcs: VcConfig,
+        report: &SaturatedReport,
+        analysed_id: impl Fn(FlowId) -> Option<FlowId>,
+    ) -> Result<ScenarioOutcome> {
+        let config = self.design.config();
         let mut suite = match self.traffic.curve() {
-            None => oracle_suite_with_counts(&flows, &config, mesh, &buffers, vcs, counts)?,
+            None => oracle_suite_with_counts(analysed, &config, mesh, buffers, vcs, counts)?,
             Some(curve) => {
-                oracle_suite_with_curve(&flows, &config, mesh, &buffers, vcs, counts, curve)?
+                oracle_suite_with_curve(analysed, &config, mesh, buffers, vcs, counts, curve)?
             }
         };
         // The weighted analyses only model platforms where flows sharing an
@@ -987,152 +1055,26 @@ impl Scenario {
         // explicitly, so round-robin scenarios are checked whenever a
         // depth-valid dominating oracle exists (shallow buffers demote the
         // depth-unaware analyses to ordering-only — see
-        // `oracle_suite_with_buffers`).
+        // `oracle_suite_with_vcs`).
         let has_dominating = suite.iter().any(|oracle| oracle.dominates_observation());
-        let dominance_checked = has_dominating
+        outcome.dominance_checked = has_dominating
             && match self.design {
                 DesignChoice::Regular { .. } => true,
-                DesignChoice::WawWap => flows.is_output_consistent(),
+                DesignChoice::WawWap => analysed.is_output_consistent(),
             };
-        let (violations, tightness) = if dominance_checked {
-            self.check_dominance(&flows, &report, &mut suite)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let ordering_violations = self.check_ordering(&flows, &mesh, &buffers, &mut suite);
-
-        Ok(ScenarioOutcome {
-            scenario: self.clone(),
-            flow_count: flows.len(),
-            observed: report.overall(),
-            simulated_cycles,
-            dominance_checked,
-            violations,
-            ordering_violations,
-            tightness: TightnessSummary::from_ratios(&tightness),
-        })
-    }
-
-    /// Finishes a fault scenario's outcome: the simulator has already proved
-    /// the liveness half (the run drained — retransmitting NACKed survivors
-    /// and dropping severed traffic — instead of deadlocking or wedging),
-    /// and this decides which analytic checks apply on top.
-    ///
-    /// * **Cycle-0 activation** (degraded from the start): every observation
-    ///   happened on the tree-routed topology, so the surviving flows are
-    ///   rerouted ([`reroute_flows`] — the same construction the incremental
-    ///   engine's fault mutations are verified against) and held to freshly
-    ///   built degraded oracles, dominance and ordering both.
-    /// * **Mid-run activation**: observations mix healthy-epoch and
-    ///   degraded-epoch traversals (a probe NACKed by the flush spans the
-    ///   outage end-to-end); no single oracle bounds that mixture, so the
-    ///   scenario is drain-only (`dominance_checked = false`).
-    #[allow(clippy::too_many_arguments)]
-    fn faulted_outcome(
-        &self,
-        mesh: &Mesh,
-        flows: &FlowSet,
-        config: &NocConfig,
-        buffers: &BufferConfig,
-        vcs: VcConfig,
-        plan: &FaultPlan,
-        report: &SaturatedReport,
-        simulated_cycles: u64,
-    ) -> Result<ScenarioOutcome> {
-        let tree = TreeRouting::new(&plan.final_set(mesh));
-        let reroute = reroute_flows(flows, &tree)?;
-        let degraded_from_start = plan.activations().iter().all(|&cycle| cycle == 0);
-        if !degraded_from_start || reroute.flows.is_empty() {
-            return Ok(ScenarioOutcome {
-                scenario: self.clone(),
-                flow_count: flows.len(),
-                observed: report.overall(),
-                simulated_cycles,
-                dominance_checked: false,
-                violations: Vec::new(),
-                ordering_violations: Vec::new(),
-                tightness: TightnessSummary::from_ratios(&[]),
-            });
+        if outcome.dominance_checked {
+            let (violations, ratios) = self.check_dominance(report, &mut suite, analysed_id);
+            outcome.violations = violations;
+            outcome.tightness = TightnessSummary::from_ratios(&ratios);
         }
-        // Contention table of the rerouted set (no cache: degraded sets are
-        // plan-specific).
-        let counts = WeightTable::from_flow_set(&reroute.flows);
-        let mut suite =
-            oracle_suite_with_counts(&reroute.flows, config, *mesh, buffers, vcs, counts)?;
-        let has_dominating = suite.iter().any(|oracle| oracle.dominates_observation());
-        let dominance_checked = has_dominating
-            && match self.design {
-                DesignChoice::Regular { .. } => true,
-                DesignChoice::WawWap => reroute.flows.is_output_consistent(),
-            };
-        let (violations, tightness) = if dominance_checked {
-            self.check_degraded_dominance(&reroute, report, &mut suite)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let ordering_violations = self.check_ordering(&reroute.flows, mesh, buffers, &mut suite);
-        Ok(ScenarioOutcome {
-            scenario: self.clone(),
-            flow_count: flows.len(),
-            observed: report.overall(),
-            simulated_cycles,
-            dominance_checked,
-            violations,
-            ordering_violations,
-            tightness: TightnessSummary::from_ratios(&tightness),
-        })
-    }
-
-    /// [`Scenario::check_dominance`] for a degraded-from-start fault
-    /// scenario: the report keys observations by *original* flow id, while
-    /// the degraded oracles index the densely re-indexed rerouted set — the
-    /// [`Reroute::surviving`] table translates between the two.  Severed
-    /// pairs carry no bound (and no observation: the closed loop refuses
-    /// their offers).  Violations report the original id, which is what a
-    /// reproduction needs.
-    fn check_degraded_dominance(
-        &self,
-        reroute: &Reroute,
-        report: &SaturatedReport,
-        suite: &mut [Box<dyn WcttBoundModel>],
-    ) -> (Vec<Violation>, Vec<f64>) {
-        let mut violations = Vec::new();
-        let mut ratios = Vec::new();
-        let primary = suite
-            .iter()
-            .position(|oracle| oracle.dominates_observation());
-        for (original, observed) in report.per_flow_max() {
-            let Some(position) = reroute.surviving.iter().position(|&id| id == original) else {
-                continue;
-            };
-            let flow = FlowId(position);
-            for (at, oracle) in suite.iter_mut().enumerate() {
-                if !oracle.dominates_observation() {
-                    continue;
-                }
-                let Some(bound) = oracle.message_bound(flow, self.message_flits) else {
-                    continue;
-                };
-                if Some(at) == primary && bound > 0 && bound < SATURATION_SENTINEL {
-                    ratios.push(observed as f64 / bound as f64);
-                }
-                if observed > bound && oracle.dominates_message(self.message_flits) {
-                    violations.push(Violation {
-                        flow: original,
-                        oracle: oracle.name().to_string(),
-                        observed,
-                        bound,
-                    });
-                }
-            }
-        }
-        (violations, ratios)
+        outcome.ordering_violations = self.check_ordering(analysed, &mesh, buffers, &mut suite);
+        Ok(outcome)
     }
 
     /// Dominance: every analysis claiming observation safety *for this
     /// message size* ([`WcttBoundModel::dominates_observation`] together with
-    /// [`WcttBoundModel::dominates_message`]) must bound every flow's worst
-    /// observed traversal.  Returns the violations plus the per-flow
+    /// [`WcttBoundModel::dominates_message`]) must bound every judged flow's
+    /// worst observed traversal.  Returns the violations plus the per-flow
     /// tightness ratios against the primary (first dominating) analysis.
     ///
     /// Ratios are diagnostics, not verdicts: they are recorded even when the
@@ -1143,9 +1085,9 @@ impl Scenario {
     /// exists under closed-loop saturation of a higher-priority VC).
     fn check_dominance(
         &self,
-        flows: &FlowSet,
         report: &SaturatedReport,
         suite: &mut [Box<dyn WcttBoundModel>],
+        analysed_id: impl Fn(FlowId) -> Option<FlowId>,
     ) -> (Vec<Violation>, Vec<f64>) {
         let mut violations = Vec::new();
         let mut ratios = Vec::new();
@@ -1153,16 +1095,14 @@ impl Scenario {
             .iter()
             .position(|oracle| oracle.dominates_observation());
         for (flow, observed) in report.per_flow_max() {
-            if flows.route(flow).is_none() {
-                // Stats can contain ids the network registered on demand;
-                // conformance only judges the statically analysed flows.
+            let Some(analysed) = analysed_id(flow) else {
                 continue;
-            }
+            };
             for (position, oracle) in suite.iter_mut().enumerate() {
                 if !oracle.dominates_observation() {
                     continue;
                 }
-                let Some(bound) = oracle.message_bound(flow, self.message_flits) else {
+                let Some(bound) = oracle.message_bound(analysed, self.message_flits) else {
                     continue;
                 };
                 if Some(position) == primary && bound > 0 && bound < SATURATION_SENTINEL {

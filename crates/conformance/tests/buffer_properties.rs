@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use wnoc_conformance::{BufferChoice, Scenario};
 use wnoc_core::analysis::oracle::{BufferAwareOracle, WcttBoundModel};
 use wnoc_core::flow::FlowSet;
-use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, NodeId, Port};
+use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig, NodeId, Port, VcConfig};
 use wnoc_sim::Simulation;
 
 /// Depth-1 wormhole still drains: `SimulationStalled` never fires on
@@ -77,7 +77,8 @@ fn deepening_one_buffer_can_raise_an_observation_but_never_escapes_the_envelope(
     let config = NocConfig::waw_wap();
     let shallow = BufferConfig::uniform(2);
     let run = |buffers: &BufferConfig| {
-        let mut sim = Simulation::with_buffers(mesh, config, &flows, buffers).unwrap();
+        let mut sim =
+            Simulation::with_vcs(mesh, config, &flows, buffers, VcConfig::single()).unwrap();
         sim.run_closed_loop(&flows, 1, 1_500).unwrap()
     };
     let before = run(&shallow);
@@ -135,7 +136,7 @@ proptest! {
         let deepened = shallow.with_buffer_depth(&mesh, node, port, base_depth + extra);
 
         let run = |buffers: &BufferConfig| {
-            let mut sim = Simulation::with_buffers(mesh, config, &flows, buffers).unwrap();
+            let mut sim = Simulation::with_vcs(mesh, config, &flows, buffers, VcConfig::single()).unwrap();
             sim.run_closed_loop(&flows, 1, 1_200).unwrap()
         };
         let observed = run(&deepened);

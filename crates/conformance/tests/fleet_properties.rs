@@ -4,6 +4,9 @@
 //! and an order-shuffled merge — produces a report *byte-identical* to the
 //! single-process [`Campaign::run`] output.
 //!
+//! A second property damages rendered checkpoints and requires the codec to
+//! answer with a named `CorruptCheckpoint`, never a panic.
+//!
 //! The proptest shim samples from a fixed-seed deterministic stream, so any
 //! failure reproduces identically on every run.
 
@@ -12,8 +15,11 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use std::path::Path;
+use std::sync::OnceLock;
 
+use wnoc_conformance::fleet::{config_hash, fnv1a, ShardManifest};
 use wnoc_conformance::{partition, Campaign, ConformanceReport, PartialReport};
+use wnoc_core::Error;
 
 /// Fisher–Yates shuffle driven by a seeded ChaCha stream (the vendored
 /// `rand` shim has no `SliceRandom`).
@@ -69,5 +75,79 @@ proptest! {
         prop_assert_eq!(&merged, &reference);
         prop_assert_eq!(merged.render_json(), reference.render_json());
         prop_assert_eq!(merged.render(), reference.render());
+    }
+}
+
+/// One rendered VC-sweep partial, one fault-sweep partial and one manifest,
+/// built once per test process: the artifacts the damage property breaks.
+fn checkpoint_artifacts() -> &'static [String; 3] {
+    static ARTIFACTS: OnceLock<[String; 3]> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let render = |campaign: Campaign| {
+            PartialReport::compute(&campaign, partition(campaign.scenarios, 1)[0])
+                .unwrap()
+                .render_json()
+        };
+        let vc = render(Campaign::vc_sweep(7, 3));
+        let fault = render(Campaign::fault_sweep(7, 3));
+        let manifest = ShardManifest {
+            config_hash: config_hash(&Campaign::vc_sweep(7, 3)),
+            shard: partition(3, 1)[0],
+            outcomes: 3,
+            partial_digest: fnv1a(vc.as_bytes()),
+        }
+        .render_json();
+        assert!(
+            vc.contains("\"kind\":\"count\""),
+            "the VC partial carries VCs"
+        );
+        assert!(
+            fault.contains("\"faults\":"),
+            "the fault partial carries faults"
+        );
+        [vc, fault, manifest]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Damaged checkpoint bytes — truncated at any byte, up to five bytes
+    /// overwritten with printable ASCII, or both — either parse or fail with
+    /// a named `CorruptCheckpoint`, and whatever parses renders without
+    /// panicking.
+    #[test]
+    fn damaged_checkpoints_parse_or_are_corrupt(
+        artifact in 0usize..3,
+        damage in 0u32..3,
+        cut in any::<u64>(),
+        overwrites in prop::collection::vec((any::<u64>(), 0x20u8..0x7f), 1..6),
+    ) {
+        let mut bytes = checkpoint_artifacts()[artifact].clone().into_bytes();
+        if damage != 1 {
+            bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize);
+        }
+        if damage != 0 && !bytes.is_empty() {
+            for (at, byte) in overwrites {
+                let at = (at % bytes.len() as u64) as usize;
+                bytes[at] = byte;
+            }
+        }
+        // The artifacts are ASCII, and so is every byte written over them.
+        let text = String::from_utf8(bytes).unwrap();
+        let path = Path::new("damaged.json");
+        let parsed = if artifact == 2 {
+            ShardManifest::parse_json(&text, path).map(|manifest| manifest.render_json())
+        } else {
+            PartialReport::parse_json(&text, path).map(|partial| {
+                let report = partial.into_report();
+                report.render() + &report.render_json()
+            })
+        };
+        match parsed {
+            Ok(rendered) => prop_assert!(!rendered.is_empty()),
+            Err(Error::CorruptCheckpoint { .. }) => {}
+            Err(other) => panic!("damaged checkpoint failed with {other}"),
+        }
     }
 }

@@ -39,7 +39,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::analysis::oracle::WcttBoundModel;
+use crate::analysis::oracle::{slices, WcttBoundModel};
 use crate::analysis::preemptive::{PreemptiveOracle, SATURATION_SENTINEL};
 use crate::analysis::regular::RegularWcttModel;
 use crate::analysis::slot;
@@ -304,7 +304,7 @@ impl IncrementalAnalysis {
         buffers.validate(&mesh)?;
         let (regular, weighted, buffer_aware, graph) = match config.arbitration {
             ArbitrationPolicy::RoundRobin => (
-                Some(RegularWcttModel::new_tracking(
+                Some(RegularWcttModel::new(
                     flows,
                     config.timing,
                     config.packetization.worst_case_contender_flits(),
@@ -389,27 +389,6 @@ impl IncrementalAnalysis {
     /// (`None` under round robin, where the analysis is inapplicable).
     pub fn arrival_curve(&self) -> Option<ArrivalCurve> {
         self.graph.as_ref().map(GraphBufferAwareWcttModel::curve)
-    }
-
-    /// The analyses applicable to the engine's arbitration policy, in the
-    /// order the conformance suite reports them at the default design point.
-    pub fn analyses(&self) -> Vec<Analysis> {
-        match self.config.arbitration {
-            ArbitrationPolicy::RoundRobin => vec![
-                Analysis::Regular,
-                Analysis::Ubd,
-                Analysis::Preemptive,
-                Analysis::Slot,
-            ],
-            ArbitrationPolicy::Waw => vec![
-                Analysis::WeightedBp,
-                Analysis::Weighted,
-                Analysis::BufferAware,
-                Analysis::GraphBufferAware,
-                Analysis::Ubd,
-                Analysis::Slot,
-            ],
-        }
     }
 
     /// Applies one design mutation, updating the contention structures by
@@ -709,7 +688,7 @@ impl IncrementalAnalysis {
             }
             Analysis::Weighted => {
                 self.weighted.as_ref()?;
-                let slices = self.slices(message_flits);
+                let slices = slices(&self.config, message_flits);
                 let slice = self.slice_flits();
                 let terms = self.ensure_terms(id.0)?;
                 Some(weighted_message(
@@ -721,7 +700,7 @@ impl IncrementalAnalysis {
             }
             Analysis::WeightedBp => {
                 self.weighted.as_ref()?;
-                let slices = self.slices(message_flits);
+                let slices = slices(&self.config, message_flits);
                 let slice = self.slice_flits();
                 let terms = self.ensure_terms(id.0)?;
                 Some(weighted_message(
@@ -733,7 +712,7 @@ impl IncrementalAnalysis {
             }
             Analysis::BufferAware => {
                 self.buffer_aware.as_ref()?;
-                let slices = self.slices(message_flits);
+                let slices = slices(&self.config, message_flits);
                 let slice = self.slice_flits();
                 let terms = self.ensure_terms(id.0)?;
                 Some(weighted_message(
@@ -744,7 +723,7 @@ impl IncrementalAnalysis {
                 ))
             }
             Analysis::GraphBufferAware => {
-                let slices = self.slices(message_flits);
+                let slices = slices(&self.config, message_flits);
                 let model = self.graph.as_ref()?;
                 let route = self.flows.route(id)?;
                 Some(model.message_wctt(route, slices))
@@ -759,15 +738,6 @@ impl IncrementalAnalysis {
             .packetization
             .worst_case_contender_flits()
             .max(1)
-    }
-
-    /// Number of wire packets a message occupies (the weighted oracles'
-    /// `slices`).
-    fn slices(&self, message_flits: u32) -> u32 {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-            .len() as u32
     }
 
     /// Dense index of a `(router, output)` contention column.

@@ -59,9 +59,9 @@ pub use buffer_aware::BufferAwareWcttModel;
 pub use graph_buffer_aware::GraphBufferAwareWcttModel;
 pub use incremental::{Analysis, IncrementalAnalysis, Mutation};
 pub use oracle::{
-    oracle_suite, oracle_suite_with_buffers, oracle_suite_with_counts, oracle_suite_with_curve,
-    oracle_suite_with_vcs, primary_oracle, AnalyticOnly, BufferAwareOracle, GraphBufferAwareOracle,
-    RegularOracle, SlotOracle, UbdOracle, WcttBoundModel, WeightedFlavor, WeightedOracle,
+    oracle_suite_with_counts, oracle_suite_with_curve, oracle_suite_with_vcs, AnalyticOnly,
+    BufferAwareOracle, GraphBufferAwareOracle, RegularOracle, SlotOracle, UbdOracle,
+    WcttBoundModel, WeightedFlavor, WeightedOracle,
 };
 pub use preemptive::PreemptiveOracle;
 pub use regular::{RegularWcttModel, RouteDelta};

@@ -1,15 +1,19 @@
-//! A uniform trait-object interface over the four WCTT analyses, used by the
+//! A uniform trait-object interface over every WCTT analysis, used by the
 //! conformance harness (`wnoc-conformance`) to cross-validate the
 //! cycle-accurate simulator against every analytic bound.
 //!
-//! The four analyses of this crate answer the same question — *how long can a
-//! packet (or message) of a given flow take to traverse the mesh?* — with very
-//! different machinery:
+//! The analyses answer the same question — *how long can a packet (or
+//! message) of a given flow take to traverse the mesh?* — with very different
+//! machinery:
 //!
 //! * [`RegularOracle`] wraps [`RegularWcttModel`]: the chained-blocking bound
 //!   for the round-robin mesh;
+//! * [`PreemptiveOracle`] (in [`crate::analysis::preemptive`]): the
+//!   priority-preemptive repair of chained blocking over virtual channels;
 //! * [`WeightedOracle`] wraps [`WeightedWcttModel`]: the weighted-rounds bound
-//!   for the WaW + WaP design;
+//!   for the WaW + WaP design, in its paper and backpressured flavours;
+//! * [`BufferAwareOracle`] and [`GraphBufferAwareOracle`]: the depth-aware
+//!   weighted bound and its bursty arrival-curve extension;
 //! * [`UbdOracle`] wraps [`UbdModel`]: the same underlying models but composed
 //!   through the active packetization policy, as the WCET computation mode
 //!   consumes them;
@@ -20,6 +24,11 @@
 //!   analytic *envelope* of the bottleneck port that every full-route bound
 //!   must dominate, which gives the conformance harness a cross-analysis
 //!   ordering check (`slot ≤ primary ≤ naive per-packet sum`).
+//!
+//! One builder assembles them into a suite, primary first, with the validity
+//! gating of each design regime; [`oracle_suite_with_vcs`],
+//! [`oracle_suite_with_counts`] and [`oracle_suite_with_curve`] are its entry
+//! points.
 //!
 //! # Bound semantics
 //!
@@ -91,6 +100,16 @@ pub trait WcttBoundModel: std::fmt::Debug + Send {
     /// flits on flow `id` (the message is split into wire packets according to
     /// the oracle's packetization policy), or `None` if the flow is unknown.
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64>;
+}
+
+/// Number of wire packets (WaP slices) a `message_flits`-flit message
+/// occupies under `config`'s packetization: the slice count the weighted
+/// analyses compose over.
+pub(crate) fn slices(config: &NocConfig, message_flits: u32) -> u32 {
+    config
+        .packetization
+        .split_message(message_flits, config.geometry)
+        .len() as u32
 }
 
 /// [`WcttBoundModel`] over the chained-blocking analysis of the regular
@@ -192,15 +211,6 @@ impl WeightedOracle {
             flavor,
         }
     }
-
-    /// Number of WaP slices a `message_flits`-flit message occupies on the
-    /// wire.
-    pub fn slices(&self, message_flits: u32) -> u32 {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-            .len() as u32
-    }
 }
 
 impl WcttBoundModel for WeightedOracle {
@@ -226,7 +236,7 @@ impl WcttBoundModel for WeightedOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let slices = self.slices(message_flits);
+        let slices = slices(&self.config, message_flits);
         let route = self.flows.route(id)?;
         Some(match self.flavor {
             WeightedFlavor::Paper => self.model.message_wctt(route, slices),
@@ -239,12 +249,12 @@ impl WcttBoundModel for WeightedOracle {
 /// bounds are unchanged but [`WcttBoundModel::dominates_observation`] is
 /// forced to `false`.
 ///
-/// Used by [`oracle_suite_with_buffers`]: analyses that do not model buffer
-/// depth (`regular`, `ubd`, `weighted-bp`) were validated against the
-/// simulator's default buffering, so on platforms with *shallower* buffers
-/// they participate in cross-analysis ordering checks only — credit
-/// round-trip serialisation at depth 1 can push observations past bounds
-/// that are perfectly safe at the calibration depth.
+/// Used by the suite builder ([`oracle_suite_with_vcs`]): analyses that do
+/// not model buffer depth (`regular`, `ubd`, `weighted-bp`) were validated
+/// against the simulator's default buffering, so on platforms with
+/// *shallower* buffers they participate in cross-analysis ordering checks
+/// only — credit round-trip serialisation at depth 1 can push observations
+/// past bounds that are perfectly safe at the calibration depth.
 #[derive(Debug)]
 pub struct AnalyticOnly<T: WcttBoundModel>(pub T);
 
@@ -303,13 +313,6 @@ impl BufferAwareOracle {
     pub fn model(&self) -> &BufferAwareWcttModel {
         &self.model
     }
-
-    fn slices(&self, message_flits: u32) -> u32 {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-            .len() as u32
-    }
 }
 
 impl WcttBoundModel for BufferAwareOracle {
@@ -325,7 +328,7 @@ impl WcttBoundModel for BufferAwareOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let slices = self.slices(message_flits);
+        let slices = slices(&self.config, message_flits);
         let route = self.flows.route(id)?;
         Some(self.model.message_wctt(route, slices))
     }
@@ -383,13 +386,6 @@ impl GraphBufferAwareOracle {
     pub fn model(&self) -> &GraphBufferAwareWcttModel {
         &self.model
     }
-
-    fn slices(&self, message_flits: u32) -> u32 {
-        self.config
-            .packetization
-            .split_message(message_flits, self.config.geometry)
-            .len() as u32
-    }
 }
 
 impl WcttBoundModel for GraphBufferAwareOracle {
@@ -405,7 +401,7 @@ impl WcttBoundModel for GraphBufferAwareOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let slices = self.slices(message_flits);
+        let slices = slices(&self.config, message_flits);
         let route = self.flows.route(id)?;
         Some(self.model.message_wctt(route, slices))
     }
@@ -516,35 +512,6 @@ impl SlotOracle {
         }
     }
 
-    /// Appends one flow to the oracle's set, updating the contention counts
-    /// by delta instead of rescanning.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src == dst` or either node lies outside the mesh.
-    pub fn push_flow(
-        &mut self,
-        src: crate::geometry::NodeId,
-        dst: crate::geometry::NodeId,
-    ) -> Result<FlowId> {
-        let id = self.flows.push_pair(src, dst)?;
-        let route = self.flows.route(id).expect("just pushed");
-        self.counts.apply_route_delta(route, true);
-        Ok(id)
-    }
-
-    /// Removes the last flow of the oracle's set (the inverse of
-    /// [`SlotOracle::push_flow`]), updating the contention counts by delta.
-    pub fn pop_flow(&mut self) -> bool {
-        match self.flows.pop() {
-            Some((_flow, route)) => {
-                self.counts.apply_route_delta(&route, false);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Worst single-port slot latency over the hops of `route` for a packet
     /// train of `own_wire_flits` wire flits.
     fn envelope(&self, route: &Route, own_wire_flits: u32) -> u64 {
@@ -610,76 +577,6 @@ impl WcttBoundModel for SlotOracle {
     }
 }
 
-/// The analysis matching `config`'s arbitration policy — the bound whose
-/// safety the conformance harness checks against the simulator: the
-/// chained-blocking model under round robin, the backpressure-aware weighted
-/// model under WaW.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid.
-pub fn primary_oracle(flows: &FlowSet, config: &NocConfig) -> Result<Box<dyn WcttBoundModel>> {
-    config.validate()?;
-    Ok(match config.arbitration {
-        ArbitrationPolicy::RoundRobin => Box::new(RegularOracle::new(
-            flows,
-            config,
-            config.packetization.worst_case_contender_flits(),
-        )),
-        ArbitrationPolicy::Waw => Box::new(WeightedOracle::with_flavor(
-            flows,
-            config,
-            WeightedFlavor::Backpressured,
-        )),
-    })
-}
-
-/// Every analysis applicable to `config`, primary first: the primary model,
-/// (under WaW) the paper-flavour weighted reference, the UBD composition,
-/// (under round robin) the priority-preemptive repair and the slot envelope.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid.
-pub fn oracle_suite(flows: &FlowSet, config: &NocConfig) -> Result<Vec<Box<dyn WcttBoundModel>>> {
-    let mut suite = vec![primary_oracle(flows, config)?];
-    if config.arbitration == ArbitrationPolicy::Waw {
-        suite.push(Box::new(WeightedOracle::with_flavor(
-            flows,
-            config,
-            WeightedFlavor::Paper,
-        )));
-    }
-    suite.push(Box::new(UbdOracle::new(flows, config)?));
-    if config.arbitration == ArbitrationPolicy::RoundRobin {
-        suite.push(Box::new(PreemptiveOracle::new(
-            flows,
-            config,
-            &BufferConfig::uniform(config.input_buffer_flits),
-            VcConfig::single(),
-        )));
-    }
-    suite.push(Box::new(SlotOracle::new(flows, config)));
-    Ok(suite)
-}
-
-/// Every analysis applicable to `config` on a platform whose router buffers
-/// follow `buffers`, primary (dominance/tightness reference) first.
-/// Equivalent to [`oracle_suite_with_vcs`] at the single-VC design point.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid or `buffers` does not
-/// cover `mesh`.
-pub fn oracle_suite_with_buffers(
-    flows: &FlowSet,
-    config: &NocConfig,
-    mesh: Mesh,
-    buffers: &BufferConfig,
-) -> Result<Vec<Box<dyn WcttBoundModel>>> {
-    oracle_suite_with_vcs(flows, config, mesh, buffers, VcConfig::single())
-}
-
 /// Every analysis applicable to `config` on a platform whose router buffers
 /// follow `buffers` and whose input ports carry `vcs` virtual channels,
 /// primary (dominance/tightness reference) first.
@@ -688,10 +585,11 @@ pub fn oracle_suite_with_buffers(
 /// safety:
 ///
 /// * with the **default** buffers (uniform at
-///   [`NocConfig::input_buffer_flits`]) and a **single VC** the suite
-///   matches [`oracle_suite`] exactly — plus, under WaW, the buffer-aware
-///   oracle appended as an extra dominating member (its bounds coincide with
-///   `weighted-bp` at the calibration depth, so verdicts are unchanged);
+///   [`NocConfig::input_buffer_flits`]) and a **single VC** the suite is the
+///   paper's: `regular` under round robin, `weighted-bp` under WaW — plus,
+///   under WaW, the buffer-aware oracle as an extra dominating member (its
+///   bounds coincide with `weighted-bp` at the calibration depth, so verdicts
+///   are unchanged);
 /// * with **non-default** buffers under WaW the buffer-aware oracle becomes
 ///   the primary, since it is the only depth-aware weighted analysis;
 /// * the classic round-robin analyses (`regular`, `ubd`) keep their
@@ -725,14 +623,8 @@ pub fn oracle_suite_with_vcs(
     buffers: &BufferConfig,
     vcs: VcConfig,
 ) -> Result<Vec<Box<dyn WcttBoundModel>>> {
-    oracle_suite_with_counts(
-        flows,
-        config,
-        mesh,
-        buffers,
-        vcs,
-        WeightTable::from_flow_set(flows),
-    )
+    let counts = WeightTable::from_flow_set(flows);
+    suite(flows, config, mesh, buffers, vcs, counts, None)
 }
 
 /// [`oracle_suite_with_vcs`] reusing an already-built contention table
@@ -752,56 +644,7 @@ pub fn oracle_suite_with_counts(
     vcs: VcConfig,
     counts: WeightTable,
 ) -> Result<Vec<Box<dyn WcttBoundModel>>> {
-    config.validate()?;
-    buffers.validate(&mesh)?;
-    let default_buffers = buffers.is_uniform_depth(config.input_buffer_flits);
-    let depth_validated = buffers.min_depth() >= config.input_buffer_flits;
-    let single_vc = vcs.is_single();
-    fn gate<T: WcttBoundModel + 'static>(oracle: T, keep: bool) -> Box<dyn WcttBoundModel> {
-        if keep {
-            Box::new(oracle)
-        } else {
-            Box::new(AnalyticOnly(oracle))
-        }
-    }
-    match config.arbitration {
-        ArbitrationPolicy::RoundRobin => {
-            let classic = default_buffers && single_vc;
-            let regular = RegularOracle::new(
-                flows,
-                config,
-                config.packetization.worst_case_contender_flits(),
-            );
-            Ok(vec![
-                gate(regular, classic),
-                gate(UbdOracle::new(flows, config)?, classic),
-                Box::new(PreemptiveOracle::new(flows, config, buffers, vcs)),
-                Box::new(SlotOracle::with_counts(flows, config, counts)),
-            ])
-        }
-        ArbitrationPolicy::Waw => {
-            let buffer_aware = BufferAwareOracle::new(flows, config, mesh, buffers.clone());
-            let backpressured =
-                WeightedOracle::with_flavor(flows, config, WeightedFlavor::Backpressured);
-            let paper = WeightedOracle::with_flavor(flows, config, WeightedFlavor::Paper);
-            let mut suite: Vec<Box<dyn WcttBoundModel>> = if default_buffers {
-                vec![
-                    gate(backpressured, single_vc),
-                    Box::new(paper),
-                    gate(buffer_aware, single_vc),
-                ]
-            } else {
-                vec![
-                    gate(buffer_aware, single_vc),
-                    gate(backpressured, depth_validated && single_vc),
-                    Box::new(paper),
-                ]
-            };
-            suite.push(Box::new(UbdOracle::new(flows, config)?));
-            suite.push(Box::new(SlotOracle::with_counts(flows, config, counts)));
-            Ok(suite)
-        }
-    }
+    suite(flows, config, mesh, buffers, vcs, counts, None)
 }
 
 /// The **bursty-regime** suite: every analysis of the catalog over a
@@ -834,41 +677,91 @@ pub fn oracle_suite_with_curve(
     counts: WeightTable,
     curve: ArrivalCurve,
 ) -> Result<Vec<Box<dyn WcttBoundModel>>> {
+    suite(flows, config, mesh, buffers, vcs, counts, Some(curve))
+}
+
+/// The one suite builder behind the public entry points: steady-state
+/// traffic when `curve` is `None`, the bursty regime otherwise.  A new
+/// analysis joins every suite here, with its place in each regime's member
+/// order and its gating.
+fn suite(
+    flows: &FlowSet,
+    config: &NocConfig,
+    mesh: Mesh,
+    buffers: &BufferConfig,
+    vcs: VcConfig,
+    counts: WeightTable,
+    curve: Option<ArrivalCurve>,
+) -> Result<Vec<Box<dyn WcttBoundModel>>> {
     config.validate()?;
     buffers.validate(&mesh)?;
-    if config.arbitration != ArbitrationPolicy::Waw {
-        return Err(Error::InvalidConfig {
-            reason: "the graph-based bursty analysis models the WaW + WaP design only".to_string(),
-        });
-    }
+    let default_buffers = buffers.is_uniform_depth(config.input_buffer_flits);
+    let depth_validated = buffers.min_depth() >= config.input_buffer_flits;
     let single_vc = vcs.is_single();
-    let graph = GraphBufferAwareOracle::new(flows, config, mesh, buffers.clone(), curve);
-    let graph: Box<dyn WcttBoundModel> = if single_vc {
-        Box::new(graph)
-    } else {
-        Box::new(AnalyticOnly(graph))
+    /// Keeps `oracle`'s dominance claim when `keep`, demotes it otherwise.
+    fn gate<T: WcttBoundModel + 'static>(oracle: T, keep: bool) -> Box<dyn WcttBoundModel> {
+        if keep {
+            Box::new(oracle)
+        } else {
+            Box::new(AnalyticOnly(oracle))
+        }
+    }
+    let mut suite: Vec<Box<dyn WcttBoundModel>> = match config.arbitration {
+        ArbitrationPolicy::RoundRobin => {
+            if curve.is_some() {
+                return Err(Error::InvalidConfig {
+                    reason: "the graph-based bursty analysis models the WaW + WaP design only"
+                        .to_string(),
+                });
+            }
+            let classic = default_buffers && single_vc;
+            let regular = RegularOracle::new(
+                flows,
+                config,
+                config.packetization.worst_case_contender_flits(),
+            );
+            vec![
+                gate(regular, classic),
+                gate(UbdOracle::new(flows, config)?, classic),
+                Box::new(PreemptiveOracle::new(flows, config, buffers, vcs)),
+            ]
+        }
+        ArbitrationPolicy::Waw => {
+            let buffer_aware = BufferAwareOracle::new(flows, config, mesh, buffers.clone());
+            let backpressured =
+                WeightedOracle::with_flavor(flows, config, WeightedFlavor::Backpressured);
+            let paper: Box<dyn WcttBoundModel> = Box::new(WeightedOracle::with_flavor(
+                flows,
+                config,
+                WeightedFlavor::Paper,
+            ));
+            let mut suite: Vec<Box<dyn WcttBoundModel>> = match curve {
+                Some(curve) => vec![
+                    gate(
+                        GraphBufferAwareOracle::new(flows, config, mesh, buffers.clone(), curve),
+                        single_vc,
+                    ),
+                    gate(buffer_aware, false),
+                    gate(backpressured, false),
+                    paper,
+                ],
+                None if default_buffers => vec![
+                    gate(backpressured, single_vc),
+                    paper,
+                    gate(buffer_aware, single_vc),
+                ],
+                None => vec![
+                    gate(buffer_aware, single_vc),
+                    gate(backpressured, depth_validated && single_vc),
+                    paper,
+                ],
+            };
+            suite.push(Box::new(UbdOracle::new(flows, config)?));
+            suite
+        }
     };
-    Ok(vec![
-        graph,
-        Box::new(AnalyticOnly(BufferAwareOracle::new(
-            flows,
-            config,
-            mesh,
-            buffers.clone(),
-        ))),
-        Box::new(AnalyticOnly(WeightedOracle::with_flavor(
-            flows,
-            config,
-            WeightedFlavor::Backpressured,
-        ))),
-        Box::new(WeightedOracle::with_flavor(
-            flows,
-            config,
-            WeightedFlavor::Paper,
-        )),
-        Box::new(UbdOracle::new(flows, config)?),
-        Box::new(SlotOracle::with_counts(flows, config, counts)),
-    ])
+    suite.push(Box::new(SlotOracle::with_counts(flows, config, counts)));
+    Ok(suite)
 }
 
 #[cfg(test)]
@@ -883,21 +776,15 @@ mod tests {
         (flows, config)
     }
 
-    #[test]
-    fn suite_shape_and_dominance_flags() {
-        let (flows, config) = setup(4, NocConfig::regular(4));
-        let suite = oracle_suite(&flows, &config).unwrap();
-        let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
-        assert_eq!(names, ["regular", "ubd", "preemptive", "slot"]);
-        let flags: Vec<bool> = suite.iter().map(|o| o.dominates_observation()).collect();
-        assert_eq!(flags, [true, true, true, false]);
+    /// The suite at the paper's design point: default buffers, one VC.
+    fn default_suite(flows: &FlowSet, config: &NocConfig) -> Vec<Box<dyn WcttBoundModel>> {
+        let buffers = BufferConfig::uniform(config.input_buffer_flits);
+        oracle_suite_with_vcs(flows, config, *flows.mesh(), &buffers, VcConfig::single()).unwrap()
+    }
 
-        let (flows, config) = setup(4, NocConfig::waw_wap());
-        let suite = oracle_suite(&flows, &config).unwrap();
-        let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
-        assert_eq!(names, ["weighted-bp", "weighted", "ubd", "slot"]);
-        let flags: Vec<bool> = suite.iter().map(|o| o.dominates_observation()).collect();
-        assert_eq!(flags, [true, false, false, false]);
+    /// The suite's first member: the dominance and tightness reference.
+    fn primary(flows: &FlowSet, config: &NocConfig) -> Box<dyn WcttBoundModel> {
+        default_suite(flows, config).swap_remove(0)
     }
 
     #[test]
@@ -915,18 +802,15 @@ mod tests {
     #[test]
     fn primary_matches_arbitration_policy() {
         let (flows, config) = setup(3, NocConfig::regular(2));
-        assert_eq!(primary_oracle(&flows, &config).unwrap().name(), "regular");
+        assert_eq!(primary(&flows, &config).name(), "regular");
         let (flows, config) = setup(3, NocConfig::waw_wap());
-        assert_eq!(
-            primary_oracle(&flows, &config).unwrap().name(),
-            "weighted-bp"
-        );
+        assert_eq!(primary(&flows, &config).name(), "weighted-bp");
     }
 
     #[test]
     fn unknown_flow_yields_none() {
         let (flows, config) = setup(3, NocConfig::regular(2));
-        let mut oracle = primary_oracle(&flows, &config).unwrap();
+        let mut oracle = primary(&flows, &config);
         assert!(oracle.packet_bound(FlowId(flows.len()), 1).is_none());
         assert!(oracle.message_bound(FlowId(flows.len()), 1).is_none());
     }
@@ -941,7 +825,7 @@ mod tests {
             (NocConfig::waw_wap(), 4),
         ] {
             let (flows, config) = setup(5, config);
-            let mut primary = primary_oracle(&flows, &config).unwrap();
+            let mut primary = primary(&flows, &config);
             let mut slot = SlotOracle::new(&flows, &config);
             for (id, _) in flows.iter() {
                 let p = primary.message_bound(id, mf).unwrap();
@@ -967,7 +851,7 @@ mod tests {
             // The UBD composition inherits the *paper* flavour under WaW, so
             // compare it against the matching reference model.
             let mut reference: Box<dyn WcttBoundModel> = match config.arbitration {
-                ArbitrationPolicy::RoundRobin => primary_oracle(&flows, &config).unwrap(),
+                ArbitrationPolicy::RoundRobin => primary(&flows, &config),
                 ArbitrationPolicy::Waw => Box::new(WeightedOracle::new(&flows, &config)),
             };
             let mut ubd = UbdOracle::new(&flows, &config).unwrap();
@@ -1004,10 +888,20 @@ mod tests {
     #[test]
     fn weighted_slices_match_packetizer() {
         let (flows, config) = setup(3, NocConfig::waw_wap());
-        let oracle = WeightedOracle::new(&flows, &config);
         // A 4-flit cache line becomes 5 single-flit slices (Section III).
-        assert_eq!(oracle.slices(4), 5);
-        assert_eq!(oracle.slices(1), 1);
+        assert_eq!(slices(&config, 4), 5);
+        assert_eq!(slices(&config, 1), 1);
+        let mut paper = WeightedOracle::new(&flows, &config);
+        let weighted = WeightedWcttModel::new(
+            WeightTable::from_flow_set(&flows),
+            config.timing,
+            config.packetization.worst_case_contender_flits(),
+        );
+        let route = flows.route(FlowId(0)).unwrap();
+        assert_eq!(
+            paper.message_bound(FlowId(0), 4),
+            Some(weighted.message_wctt(route, 5))
+        );
     }
 
     #[test]
@@ -1016,16 +910,28 @@ mod tests {
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
 
         let config = NocConfig::regular(4);
-        let suite =
-            oracle_suite_with_buffers(&flows, &config, mesh, &BufferConfig::uniform(4)).unwrap();
+        let suite = oracle_suite_with_vcs(
+            &flows,
+            &config,
+            mesh,
+            &BufferConfig::uniform(4),
+            VcConfig::single(),
+        )
+        .unwrap();
         let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
         assert_eq!(names, ["regular", "ubd", "preemptive", "slot"]);
         let flags: Vec<bool> = suite.iter().map(|o| o.dominates_observation()).collect();
         assert_eq!(flags, [true, true, true, false]);
 
         let config = NocConfig::waw_wap();
-        let suite =
-            oracle_suite_with_buffers(&flows, &config, mesh, &BufferConfig::uniform(4)).unwrap();
+        let suite = oracle_suite_with_vcs(
+            &flows,
+            &config,
+            mesh,
+            &BufferConfig::uniform(4),
+            VcConfig::single(),
+        )
+        .unwrap();
         let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
         assert_eq!(
             names,
@@ -1041,8 +947,14 @@ mod tests {
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
 
         let config = NocConfig::waw_wap();
-        let suite =
-            oracle_suite_with_buffers(&flows, &config, mesh, &BufferConfig::uniform(1)).unwrap();
+        let suite = oracle_suite_with_vcs(
+            &flows,
+            &config,
+            mesh,
+            &BufferConfig::uniform(1),
+            VcConfig::single(),
+        )
+        .unwrap();
         let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
         assert_eq!(
             names,
@@ -1052,8 +964,14 @@ mod tests {
         assert_eq!(flags, [true, false, false, false, false]);
 
         let config = NocConfig::regular(4);
-        let suite =
-            oracle_suite_with_buffers(&flows, &config, mesh, &BufferConfig::uniform(1)).unwrap();
+        let suite = oracle_suite_with_vcs(
+            &flows,
+            &config,
+            mesh,
+            &BufferConfig::uniform(1),
+            VcConfig::single(),
+        )
+        .unwrap();
         let flags: Vec<bool> = suite.iter().map(|o| o.dominates_observation()).collect();
         assert_eq!(flags, [false, false, true, false]);
 
@@ -1062,8 +980,14 @@ mod tests {
         // recursion does not count, so deeper-than-default also demotes the
         // classic analyses — the depth-enveloped preemptive repair carries
         // dominance instead.
-        let suite =
-            oracle_suite_with_buffers(&flows, &config, mesh, &BufferConfig::uniform(64)).unwrap();
+        let suite = oracle_suite_with_vcs(
+            &flows,
+            &config,
+            mesh,
+            &BufferConfig::uniform(64),
+            VcConfig::single(),
+        )
+        .unwrap();
         let names: Vec<&str> = suite.iter().map(|o| o.name()).collect();
         assert_eq!(names, ["regular", "ubd", "preemptive", "slot"]);
         let flags: Vec<bool> = suite.iter().map(|o| o.dominates_observation()).collect();
@@ -1097,8 +1021,7 @@ mod tests {
     #[test]
     fn message_dominance_is_per_packet_only_for_the_classic_rr_analyses() {
         let (flows, config) = setup(4, NocConfig::regular(4));
-        let suite = oracle_suite(&flows, &config).unwrap();
-        for oracle in &suite {
+        for oracle in &default_suite(&flows, &config) {
             let multi_packet = oracle.dominates_message(5);
             match oracle.name() {
                 // The Σ per-packet composition is campaign-proven unsound
@@ -1112,7 +1035,7 @@ mod tests {
         }
         // WaW keeps the historical claims (single-slice probes only).
         let (flows, config) = setup(4, NocConfig::waw_wap());
-        for oracle in oracle_suite(&flows, &config).unwrap() {
+        for oracle in default_suite(&flows, &config) {
             assert!(oracle.dominates_message(5), "{}", oracle.name());
         }
     }
@@ -1142,7 +1065,8 @@ mod tests {
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
         let config = NocConfig::waw_wap();
         let deep = BufferConfig::uniform(BufferConfig::INFINITE_EQUIVALENT);
-        let mut suite = oracle_suite_with_buffers(&flows, &config, mesh, &deep).unwrap();
+        let mut suite =
+            oracle_suite_with_vcs(&flows, &config, mesh, &deep, VcConfig::single()).unwrap();
         assert_eq!(suite[0].name(), "buffer-aware");
         assert!(suite[0].dominates_observation());
         assert_eq!(suite[1].name(), "weighted-bp");
@@ -1270,7 +1194,7 @@ mod tests {
     fn message_bounds_are_monotone_in_message_size() {
         for config in [NocConfig::regular(4), NocConfig::waw_wap()] {
             let (flows, config) = setup(4, config);
-            for oracle in oracle_suite(&flows, &config).unwrap().iter_mut() {
+            for oracle in default_suite(&flows, &config).iter_mut() {
                 let id = FlowId(0);
                 let mut last = 0;
                 for mf in [1u32, 2, 4, 8, 16] {

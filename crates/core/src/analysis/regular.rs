@@ -137,15 +137,6 @@ impl RegularWcttModel {
         model
     }
 
-    /// Alias of [`RegularWcttModel::new`], kept for the incremental analysis
-    /// engine.  The read-dependency structure of the drain recursion is static
-    /// — which terms *can* read a contention triple is a property of the mesh
-    /// alone — so surgical invalidation needs no recorded bookkeeping and
-    /// every model supports [`RegularWcttModel::apply_route_delta`].
-    pub fn new_tracking(flows: &FlowSet, timing: RouterTiming, contender_flits: u32) -> Self {
-        Self::new(flows, timing, contender_flits)
-    }
-
     /// The maximum packet size assumed for contenders.
     pub fn contender_flits(&self) -> u32 {
         self.contender_flits
@@ -530,7 +521,7 @@ mod tests {
     #[test]
     fn apply_route_delta_matches_fresh_model() {
         let (_mesh, flows) = all_to_memory(5);
-        let mut tracked = RegularWcttModel::new_tracking(&flows, RouterTiming::CANONICAL, 4);
+        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
         // Warm every memoised term before mutating.
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
@@ -556,7 +547,7 @@ mod tests {
     #[test]
     fn magnitude_only_delta_drops_nothing() {
         let (mesh, flows) = all_to_memory(4);
-        let mut tracked = RegularWcttModel::new_tracking(&flows, RouterTiming::CANONICAL, 4);
+        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
         tracked.route_wctt(&route(&mesh, (3, 3), (0, 0)), 4);
         // Duplicating an existing flow only raises counts on triples that
         // already have support: nothing flips, so no term is dropped.

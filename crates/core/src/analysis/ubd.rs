@@ -18,6 +18,7 @@ use crate::error::{Error, Result};
 use crate::flow::FlowSet;
 use crate::geometry::Coord;
 use crate::routing::{Route, RoutingAlgorithm, XyRouting};
+use crate::topology::Mesh;
 use crate::weights::WeightTable;
 
 /// Sizes of one memory transaction's messages, in regular-packetization flits.
@@ -94,7 +95,7 @@ impl UpperBoundDelay {
 #[derive(Debug, Clone)]
 pub struct UbdModel {
     config: NocConfig,
-    flows: FlowSet,
+    mesh: Mesh,
     regular: Option<RegularWcttModel>,
     weighted: Option<WeightedWcttModel>,
 }
@@ -125,7 +126,7 @@ impl UbdModel {
         };
         Ok(Self {
             config,
-            flows: flows.clone(),
+            mesh: *flows.mesh(),
             regular,
             weighted,
         })
@@ -172,7 +173,7 @@ impl UbdModel {
         memory: Coord,
         sizes: TransactionSizes,
     ) -> Result<UpperBoundDelay> {
-        let mesh = *self.flows.mesh();
+        let mesh = self.mesh;
         if !mesh.contains(core) || !mesh.contains(memory) {
             return Err(Error::InvalidRoute {
                 src: core,
@@ -198,7 +199,7 @@ impl UbdModel {
         memory: Coord,
         sizes: TransactionSizes,
     ) -> Result<Vec<(Coord, UpperBoundDelay)>> {
-        let coords: Vec<Coord> = self.flows.mesh().routers().collect();
+        let coords: Vec<Coord> = self.mesh.routers().collect();
         coords
             .into_iter()
             .filter(|&c| c != memory)

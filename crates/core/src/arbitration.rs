@@ -40,45 +40,56 @@ pub enum ArbitrationPolicy {
     Waw,
 }
 
-/// Per-output-port arbiter: picks one requesting input port per cycle.
-///
-/// The trait is object safe so a router can store one boxed arbiter per output
-/// port regardless of the configured policy.
-pub trait PortArbiter: Send {
-    /// Arbitrates among the input ports in `requests` (duplicates are ignored).
-    ///
-    /// Returns the granted input port, or `None` when `requests` is empty.  An
-    /// empty request set may update internal credit state (idle replenishment).
-    fn grant(&mut self, requests: &[Port]) -> Option<Port>;
+/// Per-output-port arbiter of either policy: picks one requesting input port
+/// per cycle.  A router stores one per `(output, VC)`.
+#[derive(Debug, Clone)]
+pub enum Arbiter {
+    /// The baseline round-robin arbiter.
+    RoundRobin(RoundRobinArbiter),
+    /// The WCTT-aware weighted round-robin arbiter.
+    Waw(WawArbiter),
+}
 
-    /// Applies `cycles` consecutive idle cycles at once: the state after
-    /// `idle_for(k)` must equal the state after `k` calls of `grant(&[])`.
+impl Arbiter {
+    /// Creates an arbiter for one output port.
     ///
-    /// The active-set simulator kernel skips routers that hold no flits, so
-    /// when such a router wakes up its arbiters catch up on the skipped idle
-    /// replenishment in O(1) through this hook instead of replaying every
-    /// cycle.  The default implementation replays `grant(&[])` and is always
-    /// correct; implementations override it with a closed form.
-    fn idle_for(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.grant(&[]);
+    /// `quotas` lists, for every input port that can send traffic to this
+    /// output port, its flit quota (the WaW weight).  Round-robin arbiters
+    /// ignore it.
+    pub fn new(policy: ArbitrationPolicy, quotas: &[(Port, u32)]) -> Self {
+        match policy {
+            ArbitrationPolicy::RoundRobin => Arbiter::RoundRobin(RoundRobinArbiter::new()),
+            ArbitrationPolicy::Waw => Arbiter::Waw(WawArbiter::new(quotas)),
         }
     }
 
-    /// The policy implemented by this arbiter (for reporting).
-    fn policy(&self) -> ArbitrationPolicy;
-}
+    /// Arbitrates among the input ports in `requests` (duplicates are
+    /// ignored).
+    ///
+    /// Returns the granted input port, or `None` when `requests` is empty.  An
+    /// empty request set may update internal credit state (idle
+    /// replenishment).
+    #[inline]
+    pub fn grant(&mut self, requests: &[Port]) -> Option<Port> {
+        match self {
+            Arbiter::RoundRobin(arbiter) => arbiter.grant(requests),
+            Arbiter::Waw(arbiter) => arbiter.grant(requests),
+        }
+    }
 
-/// Creates an arbiter for one output port.
-///
-/// `quotas` lists, for every input port that can send traffic to this output
-/// port, its flit quota (the WaW weight).  Round-robin arbiters ignore the
-/// quota values but still restrict grants to the listed ports' requests being
-/// arbitrary subsets of them.
-pub fn make_arbiter(policy: ArbitrationPolicy, quotas: &[(Port, u32)]) -> Box<dyn PortArbiter> {
-    match policy {
-        ArbitrationPolicy::RoundRobin => Box::new(RoundRobinArbiter::new()),
-        ArbitrationPolicy::Waw => Box::new(WawArbiter::new(quotas)),
+    /// Applies `cycles` consecutive idle cycles at once: the state after
+    /// `idle_for(k)` equals the state after `k` calls of `grant(&[])`.
+    ///
+    /// The active-set simulator kernel skips routers that hold no flits, so
+    /// when such a router wakes up its arbiters catch up on the skipped idle
+    /// replenishment in O(1) through this closed form instead of replaying
+    /// every cycle.
+    #[inline]
+    pub fn idle_for(&mut self, cycles: u64) {
+        match self {
+            Arbiter::RoundRobin(arbiter) => arbiter.idle_for(cycles),
+            Arbiter::Waw(arbiter) => arbiter.idle_for(cycles),
+        }
     }
 }
 
@@ -94,10 +105,10 @@ impl RoundRobinArbiter {
     pub fn new() -> Self {
         Self { last: 0 }
     }
-}
 
-impl PortArbiter for RoundRobinArbiter {
-    fn grant(&mut self, requests: &[Port]) -> Option<Port> {
+    /// Grants the first port of `requests` in cyclic order after the
+    /// previously granted one (`None` when `requests` is empty).
+    pub fn grant(&mut self, requests: &[Port]) -> Option<Port> {
         if requests.is_empty() {
             return None;
         }
@@ -113,13 +124,9 @@ impl PortArbiter for RoundRobinArbiter {
         None
     }
 
-    fn idle_for(&mut self, _cycles: u64) {
-        // An idle grant leaves the rotation pointer untouched.
-    }
-
-    fn policy(&self) -> ArbitrationPolicy {
-        ArbitrationPolicy::RoundRobin
-    }
+    /// `cycles` idle cycles: a no-op, since an idle grant leaves the rotation
+    /// pointer untouched.
+    pub fn idle_for(&mut self, _cycles: u64) {}
 }
 
 /// WCTT-aware weighted round-robin arbiter for a single output port.
@@ -163,10 +170,10 @@ impl WawArbiter {
     fn replenish_all(&mut self) {
         self.credits = self.quotas;
     }
-}
 
-impl PortArbiter for WawArbiter {
-    fn grant(&mut self, requests: &[Port]) -> Option<Port> {
+    /// Arbitrates among `requests` under the Section III counter rules (see
+    /// the module docs); an empty request set is an idle cycle.
+    pub fn grant(&mut self, requests: &[Port]) -> Option<Port> {
         if requests.is_empty() {
             // Idle: every counter creeps back up towards its quota.
             for i in 0..Port::COUNT {
@@ -211,17 +218,14 @@ impl PortArbiter for WawArbiter {
         Some(winner)
     }
 
-    fn idle_for(&mut self, cycles: u64) {
-        // `k` idle cycles add `k` to every counter, saturating at its quota —
-        // the closed form of `k` calls of `grant(&[])`.
+    /// `cycles` idle cycles at once: `k` idle cycles add `k` to every
+    /// counter, saturating at its quota — the closed form of `k` calls of
+    /// `grant(&[])`.
+    pub fn idle_for(&mut self, cycles: u64) {
         let bump = u32::try_from(cycles).unwrap_or(u32::MAX);
         for i in 0..Port::COUNT {
             self.credits[i] = self.quotas[i].min(self.credits[i].saturating_add(bump));
         }
-    }
-
-    fn policy(&self) -> ArbitrationPolicy {
-        ArbitrationPolicy::Waw
     }
 }
 
@@ -236,7 +240,7 @@ mod tests {
     const EAST: Port = Port::Mesh(Direction::East);
 
     fn grant_ratios(
-        arbiter: &mut dyn PortArbiter,
+        arbiter: &mut Arbiter,
         requests: &[Port],
         rounds: usize,
     ) -> HashMap<Port, usize> {
@@ -250,7 +254,7 @@ mod tests {
 
     #[test]
     fn round_robin_alternates_fairly() {
-        let mut arb = RoundRobinArbiter::new();
+        let mut arb = Arbiter::new(ArbitrationPolicy::RoundRobin, &[]);
         let counts = grant_ratios(&mut arb, &[WEST, NORTH], 1000);
         assert_eq!(counts[&WEST], 500);
         assert_eq!(counts[&NORTH], 500);
@@ -258,7 +262,7 @@ mod tests {
 
     #[test]
     fn round_robin_three_way() {
-        let mut arb = RoundRobinArbiter::new();
+        let mut arb = Arbiter::new(ArbitrationPolicy::RoundRobin, &[]);
         let counts = grant_ratios(&mut arb, &[WEST, NORTH, EAST], 900);
         assert_eq!(counts[&WEST], 300);
         assert_eq!(counts[&NORTH], 300);
@@ -294,7 +298,7 @@ mod tests {
     #[test]
     fn waw_respects_quota_ratios_under_saturation() {
         // Table I scenario: west input has 1/3 of the local port, north 2/3.
-        let mut arb = WawArbiter::new(&[(WEST, 1), (NORTH, 2)]);
+        let mut arb = Arbiter::new(ArbitrationPolicy::Waw, &[(WEST, 1), (NORTH, 2)]);
         let counts = grant_ratios(&mut arb, &[WEST, NORTH], 3000);
         assert_eq!(counts[&WEST], 1000);
         assert_eq!(counts[&NORTH], 2000);
@@ -302,7 +306,7 @@ mod tests {
 
     #[test]
     fn waw_large_quota_ratio() {
-        let mut arb = WawArbiter::new(&[(WEST, 7), (NORTH, 56), (EAST, 1)]);
+        let mut arb = Arbiter::new(ArbitrationPolicy::Waw, &[(WEST, 7), (NORTH, 56), (EAST, 1)]);
         let total = 6400;
         let counts = grant_ratios(&mut arb, &[WEST, NORTH, EAST], total);
         let share = |p: Port| counts.get(&p).copied().unwrap_or(0) as f64 / total as f64;
@@ -341,7 +345,7 @@ mod tests {
 
     #[test]
     fn waw_ties_broken_round_robin() {
-        let mut arb = WawArbiter::new(&[(WEST, 1), (NORTH, 1)]);
+        let mut arb = Arbiter::new(ArbitrationPolicy::Waw, &[(WEST, 1), (NORTH, 1)]);
         let counts = grant_ratios(&mut arb, &[WEST, NORTH], 1000);
         assert_eq!(counts[&WEST], 500);
         assert_eq!(counts[&NORTH], 500);
@@ -415,33 +419,10 @@ mod tests {
     }
 
     #[test]
-    fn default_idle_for_replays_grants() {
-        // A trait-object arbiter without an override still catches up
-        // correctly through the default implementation.
-        struct Probe {
-            idles: u64,
-        }
-        impl PortArbiter for Probe {
-            fn grant(&mut self, requests: &[Port]) -> Option<Port> {
-                if requests.is_empty() {
-                    self.idles += 1;
-                }
-                requests.first().copied()
-            }
-            fn policy(&self) -> ArbitrationPolicy {
-                ArbitrationPolicy::RoundRobin
-            }
-        }
-        let mut probe = Probe { idles: 0 };
-        PortArbiter::idle_for(&mut probe, 5);
-        assert_eq!(probe.idles, 5);
-    }
-
-    #[test]
-    fn make_arbiter_factory() {
-        let rr = make_arbiter(ArbitrationPolicy::RoundRobin, &[]);
-        assert_eq!(rr.policy(), ArbitrationPolicy::RoundRobin);
-        let waw = make_arbiter(ArbitrationPolicy::Waw, &[(WEST, 1)]);
-        assert_eq!(waw.policy(), ArbitrationPolicy::Waw);
+    fn arbiter_new_picks_the_policy_variant() {
+        let rr = Arbiter::new(ArbitrationPolicy::RoundRobin, &[]);
+        assert!(matches!(rr, Arbiter::RoundRobin(_)));
+        let waw = Arbiter::new(ArbitrationPolicy::Waw, &[(WEST, 1)]);
+        assert!(matches!(&waw, Arbiter::Waw(arbiter) if arbiter.quota(WEST) == 1));
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use wnoc_core::analysis::preemptive::PreemptiveOracle;
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
-use wnoc_core::arbitration::{PortArbiter, RoundRobinArbiter, WawArbiter};
+use wnoc_core::arbitration::{RoundRobinArbiter, WawArbiter};
 use wnoc_core::config::RouterTiming;
 use wnoc_core::flow::FlowSet;
 use wnoc_core::geometry::Coord;

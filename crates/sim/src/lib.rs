@@ -27,9 +27,8 @@
 //! next event horizon, and a lone worm in an otherwise-empty network is
 //! delivered by a contention-free closed-form fast-forward.  The dense
 //! per-cycle reference scheduler is retained behind
-//! [`network::Network::set_dense_kernel`] (construction default under the
-//! `dense-kernel` cargo feature) as a differential-testing oracle — the two
-//! schedulers are bit-for-bit equivalent (see [`network`] for the design
+//! [`network::Network::set_dense_kernel`] as a differential-testing oracle —
+//! the two schedulers are bit-for-bit equivalent (see [`network`] for the design
 //! notes and `docs/ARCHITECTURE.md` for the full discussion).
 //!
 //! # Example

@@ -41,10 +41,8 @@
 //! delivers the whole worm in O(flits + path) arithmetic.
 //!
 //! The dense per-cycle reference scheduler is retained behind
-//! [`Network::set_dense_kernel`] (and compiled in as the construction
-//! default by the `dense-kernel` cargo feature): it visits every
-//! flit-holding router and back-logged NIC every cycle and never jumps the
-//! clock.  The two schedulers are **bit-for-bit equivalent** — the
+//! [`Network::set_dense_kernel`]: it visits every flit-holding router and
+//! back-logged NIC every cycle and never jumps the clock.  The two schedulers are **bit-for-bit equivalent** — the
 //! differential proptest in `crates/sim/tests/differential.rs` and the
 //! `kernel_equivalence` golden suite pin that contract.
 //!
@@ -332,11 +330,12 @@ impl Network {
     /// Returns [`Error::InvalidConfig`] if the configuration is invalid.
     pub fn new(mesh: Mesh, config: NocConfig, flows: &FlowSet) -> Result<Self> {
         let buffers = BufferConfig::uniform(config.input_buffer_flits);
-        Self::with_buffers(mesh, config, flows, &buffers)
+        Self::with_vcs(mesh, config, flows, &buffers, VcConfig::single())
     }
 
     /// Builds a network whose router input buffers follow `buffers` instead
-    /// of the uniform [`NocConfig::input_buffer_flits`] depth.
+    /// of the uniform [`NocConfig::input_buffer_flits`] depth, with
+    /// `vcs.count()` virtual channels per input port.
     ///
     /// Buffer depths size the input rings; every credit counter is *derived*
     /// from the downstream neighbour's configured depth through
@@ -345,31 +344,15 @@ impl Network {
     /// equal the capacity of the input buffer it feeds.  The active-set
     /// kernel's invariants (arena slab, dirty-bit worklists, zero steady-state
     /// allocations) are depth-independent; a uniform config at the default
-    /// depth is bit-for-bit identical to [`Network::new`].
+    /// depth with a single VC is bit-for-bit identical to [`Network::new`].
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the configuration is invalid or
-    /// `buffers` does not cover `mesh`.
-    pub fn with_buffers(
-        mesh: Mesh,
-        config: NocConfig,
-        flows: &FlowSet,
-        buffers: &BufferConfig,
-    ) -> Result<Self> {
-        Self::with_vcs(mesh, config, flows, buffers, VcConfig::single())
-    }
-
-    /// Builds a network with virtual channels: `vcs.count()` rings per input
-    /// port (each at the full configured depth), per-`(output, VC)` credits,
-    /// and strict-priority VC selection at every output (see
-    /// [`Router`](crate::router::Router)).  Flows are pinned to VCs by
-    /// `vcs`'s static assignment; a flow keeps its VC at every hop.  With a
-    /// single VC this is bit-for-bit [`Network::with_buffers`].
-    ///
-    /// The contention-free worm fast-forward stays single-VC only (its
-    /// closed form assumes one ring per port); multi-VC networks always
-    /// advance horizon to horizon.
+    /// Each VC gets its own ring per input port (at the full configured
+    /// depth), per-`(output, VC)` credits, and strict-priority VC selection
+    /// at every output (see [`Router`]).  Flows are pinned to VCs by `vcs`'s
+    /// static assignment; a flow keeps its VC at every hop.  The
+    /// contention-free worm fast-forward stays single-VC only (its closed
+    /// form assumes one ring per port); multi-VC networks always advance
+    /// horizon to horizon.
     ///
     /// # Errors
     ///
@@ -492,7 +475,7 @@ impl Network {
             scratch_heads: Vec::with_capacity(FF_MAX_FLITS),
             wire_is_fast: config.timing.link_cycles == 1,
             scratch_wire: Vec::with_capacity(link_count.min(256)),
-            dense: cfg!(feature = "dense-kernel"),
+            dense: false,
             flow_ids,
             next_flow,
             tracker: HashMap::default(),
@@ -904,8 +887,8 @@ impl Network {
     /// (every flit-holding router and back-logged NIC visited every cycle, no
     /// clock jumps, no worm fast-forward), `false` the event-horizon kernel.
     /// The two are bit-for-bit equivalent; the dense scheduler exists as the
-    /// differential-testing oracle.  The `dense-kernel` cargo feature makes
-    /// dense the construction default.
+    /// differential-testing oracle.  Networks start on the event-horizon
+    /// kernel.
     ///
     /// # Panics
     ///
@@ -1850,11 +1833,12 @@ mod tests {
             noc.stats().clone()
         };
         let classic = run(Network::new(mesh, config, &flows).unwrap());
-        let explicit = run(Network::with_buffers(
+        let explicit = run(Network::with_vcs(
             mesh,
             config,
             &flows,
             &BufferConfig::uniform(config.input_buffer_flits),
+            VcConfig::single(),
         )
         .unwrap());
         assert_eq!(classic.traversal_latency, explicit.traversal_latency);
@@ -1876,7 +1860,14 @@ mod tests {
             Port::Mesh(Direction::East),
             7,
         );
-        let noc = Network::with_buffers(mesh, NocConfig::regular(4), &flows, &buffers).unwrap();
+        let noc = Network::with_vcs(
+            mesh,
+            NocConfig::regular(4),
+            &flows,
+            &buffers,
+            VcConfig::single(),
+        )
+        .unwrap();
         // R(1,1)'s *east-facing input* receives from its eastern neighbour
         // R(2,1), whose *west output* must now hold 7 credits.
         let east_neighbor = mesh.node_id(Coord::from_row_col(1, 2)).unwrap();
@@ -1901,8 +1892,14 @@ mod tests {
         let mesh = Mesh::square(4).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
         for config in [NocConfig::regular(4), NocConfig::waw_wap()] {
-            let mut noc =
-                Network::with_buffers(mesh, config, &flows, &BufferConfig::uniform(1)).unwrap();
+            let mut noc = Network::with_vcs(
+                mesh,
+                config,
+                &flows,
+                &BufferConfig::uniform(1),
+                VcConfig::single(),
+            )
+            .unwrap();
             let dst = mesh.node_id(Coord::from_row_col(0, 0)).unwrap();
             for row in 0..4u16 {
                 for col in 0..4u16 {

@@ -14,7 +14,7 @@
 //!   or upstream arrivals — can be *skipped* entirely by the event-horizon
 //!   scheduler: the router tracks the cycle it last decided and replays the
 //!   skipped cycles into its arbiters in O(1)
-//!   ([`PortArbiter::idle_for`](wnoc_core::arbitration::PortArbiter::idle_for))
+//!   ([`Arbiter::idle_for`](wnoc_core::arbitration::Arbiter::idle_for))
 //!   before the next observation, so skipping is behaviour-identical to
 //!   visiting every router every cycle.  The replay is *request-aware*: a
 //!   skipped cycle issues an idle grant only on outputs that had neither a
@@ -28,7 +28,7 @@
 //!   credit returns commute with the replay (request sets do not depend on
 //!   credits), so they need no replay of their own.
 
-use wnoc_core::arbitration::{make_arbiter, ArbitrationPolicy, PortArbiter};
+use wnoc_core::arbitration::{Arbiter, ArbitrationPolicy};
 use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc_core::vc::MAX_VCS;
 use wnoc_core::weights::WeightTable;
@@ -93,7 +93,7 @@ pub struct Router {
     /// round-robin position every cycle and systematically starve one input
     /// of a lower VC — unbounded same-VC starvation no within-VC round-robin
     /// analysis could cover.
-    arbiters: Vec<Box<dyn PortArbiter>>,
+    arbiters: Vec<Arbiter>,
     /// Output port per destination node id, precomputed from XY routing.
     route: Box<[Port]>,
     /// Buffered flits across all inputs, maintained incrementally so the
@@ -114,6 +114,26 @@ pub struct Router {
     /// ([`Router::flush_idle_debt`]).  No reordering ever happens:
     /// consecutive idle cycles are the only thing coalesced.
     idle_debt: [u64; Port::COUNT * MAX_VCS],
+}
+
+/// The arbiters of the router at `coord`, indexed `output.index() *
+/// vc_count + vc`: one (with the full quota set under WaW) per VC of each
+/// output, so round-robin position and quota counters never leak across
+/// priority classes.
+fn arbiters(
+    coord: Coord,
+    policy: ArbitrationPolicy,
+    weights: &WeightTable,
+    vc_count: usize,
+) -> Vec<Arbiter> {
+    let mut arbiters = Vec::with_capacity(Port::COUNT * vc_count);
+    for port in Port::ALL {
+        let quotas = weights.reduced_quotas(coord, port);
+        for _vc in 0..vc_count {
+            arbiters.push(Arbiter::new(policy, &quotas));
+        }
+    }
+    arbiters
 }
 
 impl std::fmt::Debug for Router {
@@ -168,7 +188,6 @@ impl Router {
         let mut inputs = Vec::with_capacity(Port::COUNT * vc_count);
         let mut credits = Vec::with_capacity(Port::COUNT * vc_count);
         let mut holds = Vec::with_capacity(Port::COUNT * vc_count);
-        let mut arbiters: Vec<Box<dyn PortArbiter>> = Vec::with_capacity(Port::COUNT * vc_count);
         for port in Port::ALL {
             let exists = match port {
                 Port::Local => true,
@@ -187,13 +206,6 @@ impl Router {
                 });
                 holds.push(None);
             }
-            // One arbiter (with the full quota set under WaW) per VC of the
-            // output: round-robin position and quota counters must not leak
-            // across priority classes.
-            let quotas = weights.reduced_quotas(coord, port);
-            for _vc in 0..vc_count {
-                arbiters.push(make_arbiter(policy, &quotas));
-            }
         }
         let routing = XyRouting::new();
         let route = mesh
@@ -211,7 +223,7 @@ impl Router {
             inputs,
             credits,
             holds,
-            arbiters,
+            arbiters: arbiters(coord, policy, weights, vc_count),
             route,
             buffered: 0,
             last_decide: 0,
@@ -371,15 +383,7 @@ impl Router {
     /// every buffer is already empty — so discarding round/quota state is
     /// the point, not a hazard.
     pub(crate) fn reset_arbiters(&mut self, policy: ArbitrationPolicy, weights: &WeightTable) {
-        let mut arbiters: Vec<Box<dyn PortArbiter>> =
-            Vec::with_capacity(Port::COUNT * self.vc_count);
-        for port in Port::ALL {
-            let quotas = weights.reduced_quotas(self.coord, port);
-            for _vc in 0..self.vc_count {
-                arbiters.push(make_arbiter(policy, &quotas));
-            }
-        }
-        self.arbiters = arbiters;
+        self.arbiters = arbiters(self.coord, policy, weights, self.vc_count);
     }
 
     /// Returns `true` if any input ring's head-of-line flit **on VC `vc`** is
@@ -413,7 +417,7 @@ impl Router {
 
     /// Replays the skipped cycles `last_decide + 1 ..= next - 1` into the
     /// arbiters, in O(1) per `(output, VC)` via the
-    /// [`idle_for`](wnoc_core::arbitration::PortArbiter::idle_for) closed
+    /// [`idle_for`](wnoc_core::arbitration::Arbiter::idle_for) closed
     /// form.
     ///
     /// The event-horizon scheduler only skips a router while it provably

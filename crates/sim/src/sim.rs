@@ -118,28 +118,9 @@ impl Simulation {
         })
     }
 
-    /// Builds a simulation whose router buffers follow `buffers` (see
-    /// [`Network::with_buffers`]); every driver below works unchanged on the
-    /// heterogeneous network.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid or `buffers` does not
-    /// cover `mesh`.
-    pub fn with_buffers(
-        mesh: Mesh,
-        config: NocConfig,
-        flows: &FlowSet,
-        buffers: &wnoc_core::BufferConfig,
-    ) -> Result<Self> {
-        Ok(Self {
-            network: Network::with_buffers(mesh, config, flows, buffers)?,
-        })
-    }
-
-    /// Builds a simulation with both a buffer plan and a virtual-channel
-    /// configuration (see [`Network::with_vcs`]); `VcConfig::single()` reduces
-    /// to [`Simulation::with_buffers`] exactly.
+    /// Builds a simulation with a buffer plan and a virtual-channel
+    /// configuration (see [`Network::with_vcs`]); every driver below works
+    /// unchanged on the heterogeneous or multi-VC network.
     ///
     /// # Errors
     ///

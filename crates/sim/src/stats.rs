@@ -86,12 +86,14 @@ impl LatencyStats {
         self.count == 0
     }
 
-    /// Merges another summary into this one.
+    /// Merges another summary into this one.  Counts and sums saturate, so
+    /// decoded summaries ([`LatencyStats::from_parts`]) merge without
+    /// overflow.
     pub fn merge(&mut self, other: &LatencyStats) {
         if other.count == 0 {
             return;
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -234,6 +236,14 @@ mod tests {
         let empty = LatencyStats::new();
         a.merge(&empty);
         assert_eq!(a.count, 3);
+    }
+
+    #[test]
+    fn merge_saturates_the_count() {
+        let huge = LatencyStats::from_parts(u64::MAX, u64::MAX, 1, 9).unwrap();
+        let mut total = huge;
+        total.merge(&huge);
+        assert_eq!(total, huge);
     }
 
     #[test]
