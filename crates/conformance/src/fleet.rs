@@ -2310,7 +2310,7 @@ mod tests {
     /// degraded-from-start judgment path outside the campaign goldens.
     #[test]
     fn checkpoint_bytes_are_pinned() {
-        let pins: [(Campaign, [u64; 4]); 5] = [
+        let pins: [(Campaign, [u64; 6]); 5] = [
             (
                 Campaign::new(7, 25),
                 [
@@ -2318,6 +2318,8 @@ mod tests {
                     0x832a_de81_44d1_1172,
                     0xb663_1048_4ad7_08bb,
                     0xf3f8_eac1_e9e9_4d0d,
+                    0x0d13_4d2b_97a6_b9af,
+                    0xdf08_8916_f2b7_b575,
                 ],
             ),
             (
@@ -2327,6 +2329,8 @@ mod tests {
                     0x350b_df5f_8dc8_b763,
                     0x4b47_c82b_09fd_de41,
                     0xe113_88c9_7338_a5dc,
+                    0x865e_6d6d_420f_1569,
+                    0x6d48_5442_9051_ecfa,
                 ],
             ),
             (
@@ -2336,6 +2340,8 @@ mod tests {
                     0x31c9_d726_1800_0ea8,
                     0x17e7_f299_c01f_e9db,
                     0xeb7d_fdbf_e647_e0c3,
+                    0xc391_bd8b_3211_ccfd,
+                    0x1366_d558_e94a_5189,
                 ],
             ),
             (
@@ -2345,6 +2351,8 @@ mod tests {
                     0x9923_09ff_9512_7a81,
                     0xbd7d_2f61_4aca_0d73,
                     0xc7d6_9eea_dbf9_dced,
+                    0x3b2f_45c0_8ff7_cb90,
+                    0x0526_4394_253d_4b5b,
                 ],
             ),
             (
@@ -2354,16 +2362,20 @@ mod tests {
                     0x9b35_9af3_46b4_39c5,
                     0x1a9b_a3e5_db4e_a78f,
                     0x3262_e1a1_d60b_4cc0,
+                    0x49ea_74ed_d9b7_9139,
+                    0x1525_c5d9_c012_4ea0,
                 ],
             ),
         ];
-        for (campaign, [partial_0, partial_1, manifest_0, manifest_1]) in pins {
+        for (campaign, [partial_0, partial_1, manifest_0, manifest_1, report, campaign_json]) in
+            pins
+        {
             let mut partials = Vec::new();
             let mut manifests = Vec::new();
+            let mut merged = ConformanceReport::empty(campaign.seed);
             for shard in partition(campaign.scenarios, 2) {
-                let json = PartialReport::compute(&campaign, shard)
-                    .unwrap()
-                    .render_json();
+                let partial = PartialReport::compute(&campaign, shard).unwrap();
+                let json = partial.render_json();
                 let manifest = ShardManifest {
                     config_hash: config_hash(&campaign),
                     shard,
@@ -2372,6 +2384,7 @@ mod tests {
                 };
                 partials.push(fnv1a(json.as_bytes()));
                 manifests.push(fnv1a(manifest.render_json().as_bytes()));
+                merged.merge(partial.into_report());
             }
             let tag = campaign.dimension.tag();
             assert_eq!(partials, [partial_0, partial_1], "{tag} partial digests");
@@ -2380,6 +2393,17 @@ mod tests {
                 [manifest_0, manifest_1],
                 "{tag} manifest digests"
             );
+            assert_eq!(
+                fnv1a(merged.render_json().as_bytes()),
+                report,
+                "{tag} report digest"
+            );
+            let dir = temp_dir(&format!("pinned-{tag}"));
+            let fleet = Fleet::new(campaign, 2, &dir);
+            fleet.prepare_dir(false).unwrap();
+            let written = fs::read(fleet.campaign_manifest_path()).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            assert_eq!(fnv1a(&written), campaign_json, "{tag} campaign.json digest");
         }
     }
 }
