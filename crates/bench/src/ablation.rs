@@ -6,15 +6,13 @@
 //! Table-II style worst-case WCTT of the 8×8 all-to-`R(0,0)` scenario for the
 //! four combinations, with the message size of a cache-line response (4 flits).
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::weights::WeightTable;
 use wnoc_core::{Coord, Mesh, Result, RouterTiming};
 
 /// WCTT summary of one design point of the ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationPoint {
     /// Human-readable design label.
     pub design: String,
@@ -27,7 +25,7 @@ pub struct AblationPoint {
 }
 
 /// The full ablation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ablation {
     /// Mesh side used.
     pub side: u16,

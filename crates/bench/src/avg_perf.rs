@@ -5,15 +5,13 @@
 //! cycle-accurate platform (operation mode, real NoC contention) under the
 //! regular design and under WaW + WaP, and compares total execution times.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Coord, NocConfig, Result};
 use wnoc_manycore::system::{ManycoreSystem, PlatformConfig};
 use wnoc_manycore::trace::Trace;
 use wnoc_workloads::eembc::EembcBenchmark;
 
 /// Result of one average-performance comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AveragePerformance {
     /// Execution time (cycles) under the regular design.
     pub regular_cycles: u64,
@@ -33,7 +31,7 @@ impl AveragePerformance {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvgPerfParams {
     /// Mesh side; the full 8×8 platform is used by the binary, tests use 4.
     pub mesh_side: u16,

@@ -10,7 +10,8 @@
 //!
 //! * **analytic** — the paper-form bound (depth-independent), and under WaW
 //!   the backpressured bound plus the buffer-aware bound
-//!   ([`BufferAwareWcttModel`]) that interpolates between them;
+//!   ([`BufferAwareWcttModel`](wnoc_core::analysis::buffer_aware::BufferAwareWcttModel))
+//!   that interpolates between them;
 //! * **observed** — the worst closed-loop traversal latency on the
 //!   cycle-accurate simulator built with the same [`BufferConfig`].
 //!
@@ -19,8 +20,6 @@
 //! monotonically with depth while never dropping below an observation, and
 //! the observations themselves relax as buffers deepen (backpressure
 //! vanishes) — wormhole WCTT tightness is bought with buffer area.
-
-use serde::{Deserialize, Serialize};
 
 use wnoc_core::analysis::oracle::{
     BufferAwareOracle, RegularOracle, WcttBoundModel, WeightedFlavor, WeightedOracle,
@@ -34,7 +33,7 @@ use wnoc_sim::Simulation;
 pub const DEPTHS: [u32; 5] = [1, 2, 4, 8, BufferConfig::INFINITE_EQUIVALENT];
 
 /// One depth sample of one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepthPoint {
     /// Uniform input-buffer depth, in flits.
     pub depth: u32,
@@ -49,7 +48,7 @@ pub struct DepthPoint {
 }
 
 /// The sweep of one (mesh, design) platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Mesh side.
     pub side: u16,
@@ -62,7 +61,7 @@ pub struct SweepRow {
 }
 
 /// The complete bound-vs-depth table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferSweepTable {
     /// One row per (mesh, design) platform.
     pub rows: Vec<SweepRow>,

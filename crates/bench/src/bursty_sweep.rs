@@ -20,8 +20,6 @@
 //! the same open-loop driver ([`wnoc_workloads::replay`]), pinning the
 //! trace-replay path end to end.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::oracle::{BufferAwareOracle, GraphBufferAwareOracle, WcttBoundModel};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::{ArrivalCurve, BufferConfig, Coord, Mesh, NocConfig, Result};
@@ -41,7 +39,7 @@ pub fn swept_bursts() -> Vec<(u32, u32)> {
 }
 
 /// One burst sample of one platform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BurstPoint {
     /// Arrival-curve burst depth `b`.
     pub burst: u32,
@@ -59,7 +57,7 @@ pub struct BurstPoint {
 }
 
 /// The burst sweep of one mesh.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BurstySweepRow {
     /// Mesh side.
     pub side: u16,
@@ -76,7 +74,7 @@ pub struct BurstySweepRow {
 
 /// One trace-replay sample: a recorded workload driven through the open-loop
 /// scheduler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayRow {
     /// Workload label (`eembc-suite`, `avionics-phases`).
     pub label: String,
@@ -91,7 +89,7 @@ pub struct ReplayRow {
 }
 
 /// The complete bound-vs-burst table plus the trace-replay section.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BurstySweepTable {
     /// One burst-sweep row per mesh.
     pub rows: Vec<BurstySweepRow>,

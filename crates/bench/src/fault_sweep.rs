@@ -24,8 +24,6 @@
 //! that the network always drains — the retransmission counters, not a
 //! latency bound, are the artefact.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::oracle::{BufferAwareOracle, WcttBoundModel};
 use wnoc_core::fault::reroute_flows;
 use wnoc_core::flow::FlowSet;
@@ -68,7 +66,7 @@ pub fn swept_faults(activation: u64) -> Vec<(String, FaultPlan)> {
 }
 
 /// One fault scenario of one mesh, degraded from cycle 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPoint {
     /// Scenario label (`healthy`, `1 link`, ...).
     pub label: String,
@@ -88,7 +86,7 @@ pub struct FaultPoint {
 }
 
 /// The cycle-0 fault sweep of one mesh.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSweepRow {
     /// Mesh side.
     pub side: u16,
@@ -99,7 +97,7 @@ pub struct FaultSweepRow {
 }
 
 /// One mid-run activation sample: the fault fires while worms are in flight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MidrunPoint {
     /// Scenario label.
     pub label: String,
@@ -119,7 +117,7 @@ pub struct MidrunPoint {
 }
 
 /// The complete degraded-mode table plus the mid-run activation section.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSweepTable {
     /// One cycle-0 fault sweep per mesh.
     pub rows: Vec<FaultSweepRow>,

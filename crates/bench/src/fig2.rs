@@ -5,15 +5,13 @@
 //!   regular design vs WaW + WaP.
 //! * **Figure 2(b)**: maximum packet size 1, placements P0–P3.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Coord, Mesh, NocConfig, Result};
 use wnoc_manycore::wcet::{parallel_wcet, ParallelPhase, WcetEstimator};
 use wnoc_workloads::avionics::{default_scenario, TrafficModel};
 use wnoc_workloads::placement::Placement;
 
 /// One bar pair of Figure 2(a): a maximum packet size with both designs' WCET.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketSizePoint {
     /// The maximum allowed packet size `L` (flits).
     pub max_packet_flits: u32,
@@ -31,7 +29,7 @@ impl PacketSizePoint {
 }
 
 /// One bar pair of Figure 2(b): a placement with both designs' WCET.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPoint {
     /// Placement name (P0–P3).
     pub placement: String,
@@ -42,7 +40,7 @@ pub struct PlacementPoint {
 }
 
 /// The Figure 2 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure2 {
     /// Figure 2(a): WCET vs maximum packet size, placement P0.
     pub packet_sizes: Vec<PacketSizePoint>,
@@ -51,7 +49,7 @@ pub struct Figure2 {
 }
 
 /// Parameters of the Figure 2 experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig2Params {
     /// Mesh side (8 in the paper).
     pub mesh_side: u16,

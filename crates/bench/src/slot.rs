@@ -3,15 +3,13 @@
 //! (`3·L + S`) vs WaP (`3·m + m`), both analytically and observed on a single
 //! simulated router.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::slot::{contended_port_latency, wap_improvement_factor};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::{Coord, Mesh, NocConfig, Result};
 use wnoc_sim::Simulation;
 
 /// One row of the slot-model experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotPoint {
     /// Maximum packet size `L` in flits.
     pub max_packet_flits: u32,
@@ -25,7 +23,7 @@ pub struct SlotPoint {
 
 /// The slot-model experiment: the analytical sweep plus one simulated
 /// cross-check of a 4-way contended ejection port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlotModel {
     /// Analytical sweep over maximum packet sizes.
     pub points: Vec<SlotPoint>,

@@ -1,13 +1,11 @@
 //! Experiment E1 — Table I: arbitration weights of router `R(1,1)` in a 2×2
 //! mesh, plain round robin vs WaW.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::weights::WeightTable;
 use wnoc_core::{Coord, Mesh, Result};
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightRow {
     /// The paper's label for the (input, output) pair, e.g. `W(X-,PME)`.
     pub pair: String,
@@ -18,7 +16,7 @@ pub struct WeightRow {
 }
 
 /// The complete Table I reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// The router the weights are reported for.
     pub router: Coord,

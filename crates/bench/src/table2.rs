@@ -11,14 +11,12 @@
 //!   validates the ordering (regular ≫ WaW + WaP for far nodes) on small
 //!   meshes.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::{WcttTable, WcttTableRow};
 use wnoc_core::{Coord, Mesh, NocConfig, Result, RouterTiming};
 use wnoc_sim::Simulation;
 
 /// Observed (simulated) WCTT summary for one mesh size and one design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedRow {
     /// Mesh side.
     pub side: u16,
@@ -33,7 +31,7 @@ pub struct ObservedRow {
 }
 
 /// The complete Table II reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Analytical rows, one per mesh size.
     pub analytical: Vec<WcttTableRow>,

@@ -9,14 +9,12 @@
 //! handful of nodes adjacent to the memory controller — and values far below 1
 //! mean it is dramatically better.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Coord, NocConfig, Result};
 use wnoc_manycore::wcet::WcetEstimator;
 use wnoc_workloads::eembc::{suite_traces, EembcBenchmark};
 
 /// The normalised-WCET matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Mesh side (8 in the paper).
     pub side: u16,

@@ -19,8 +19,6 @@
 //! them); the table reports how many flows per configuration are saturated
 //! that way, and checks dominance for every finite-bounded flow.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::oracle::{RegularOracle, WcttBoundModel};
 use wnoc_core::analysis::preemptive::{PreemptiveOracle, SATURATION_SENTINEL};
 use wnoc_core::flow::FlowSet;
@@ -41,7 +39,7 @@ pub fn swept_configs() -> Vec<VcConfig> {
 }
 
 /// One VC sample of one platform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcPoint {
     /// The VC configuration label (`vc=1`, `vc=3/idx`, …).
     pub label: String,
@@ -61,7 +59,7 @@ pub struct VcPoint {
 }
 
 /// The sweep of one mesh.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcSweepRow {
     /// Mesh side.
     pub side: u16,
@@ -74,7 +72,7 @@ pub struct VcSweepRow {
 }
 
 /// The complete bound-vs-VC table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcSweepTable {
     /// One row per mesh.
     pub rows: Vec<VcSweepRow>,

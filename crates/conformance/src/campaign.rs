@@ -15,15 +15,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::Result;
 use wnoc_sim::LatencyStats;
 
+use crate::json;
 use crate::scenario::{FlowSetCache, Scenario, ScenarioOutcome, TightnessSummary};
 
 /// The sampling space of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignDimension {
     /// The legacy space: mesh side, flow family, design, message size — all
     /// platforms at the default buffering.
@@ -74,7 +73,7 @@ impl CampaignDimension {
 }
 
 /// A seeded conformance campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Campaign {
     /// Master seed; scenario `i` is `Scenario::sample(i, seed)` (or
     /// `Scenario::sample_buffered` under [`CampaignDimension::BufferDepth`]).
@@ -216,7 +215,7 @@ impl Campaign {
 }
 
 /// Aggregated tightness over a group of scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignSummary {
     /// Scenarios in the group.
     pub scenarios: usize,
@@ -230,7 +229,7 @@ pub struct DesignSummary {
 
 /// The machine-checked verdict of a campaign, one outcome per scenario in
 /// campaign order (independent of the worker count that produced it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceReport {
     /// The campaign's master seed.
     pub seed: u64,
@@ -396,13 +395,13 @@ impl ConformanceReport {
     }
 
     /// Renders the report as deterministic JSON — the machine-readable
-    /// artifact the nightly `deep-conformance` CI job uploads.  Hand-built
-    /// (the vendored serde shim has no serializer); per-scenario entries
-    /// carry enough to diagnose a regression from the run page alone.
+    /// artifact the nightly `deep-conformance` CI job uploads.  Its layout
+    /// (a space after each colon, `{:.6}` decimals) is fixed by the reports
+    /// and digests already published, so it is written here rather than by
+    /// the checkpoint codec; its strings go through the codec's one escaper.
+    /// Per-scenario entries carry enough to diagnose a regression from the
+    /// run page alone.
     pub fn render_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::new();
         let observed = self.observed();
         let tightness = self.tightness();
@@ -440,9 +439,9 @@ impl ConformanceReport {
                 ""
             };
             out.push_str(&format!(
-                "    {{\"design\": \"{}\", \"scenarios\": {}, \"flows\": {}, \
+                "    {{\"design\": {}, \"scenarios\": {}, \"flows\": {}, \
                  \"mean_tightness\": {:.6}, \"max_tightness\": {:.6}}}{comma}\n",
-                escape(label),
+                json::quote(label),
                 summary.scenarios,
                 summary.flows,
                 summary.mean_tightness,
@@ -458,10 +457,10 @@ impl ConformanceReport {
                 ""
             };
             out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"flows\": {}, \"dominance_checked\": {}, \
+                "    {{\"label\": {}, \"flows\": {}, \"dominance_checked\": {}, \
                  \"violations\": {}, \"ordering_violations\": {}, \"observed_max\": {}, \
                  \"tightness_max\": {:.6}}}{comma}\n",
-                escape(&outcome.scenario.label()),
+                json::quote(&outcome.scenario.label()),
                 outcome.flow_count,
                 outcome.dominance_checked,
                 outcome.violations.len(),

@@ -29,31 +29,35 @@
 //! to the single-process [`Campaign::run`] report for any shard count and
 //! any completion order.
 //!
-//! The vendored serde shim has no serializer, so this module carries its own
-//! small JSON codec.  It is a *closed* format — the parser accepts exactly
-//! what the renderer emits (unsigned decimal integers, escaped strings,
-//! objects, arrays) — not a general JSON implementation.
+//! This module owns the checkpoint format: every type a checkpoint carries
+//! declares its fields here, once, to the crate's private JSON codec
+//! (`record!` for structs, `tagged!` for `"kind"`-tagged enums, or a
+//! hand-written `Codec` impl with both directions side by side), so writing
+//! and reading cannot disagree.  The format is *closed* — the reader accepts
+//! exactly what the writer emits, fields in the written order — not a
+//! general JSON implementation.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::{Duration, Instant};
 
-use wnoc_core::{Coord, Error, FlowId, NodeId, Result};
+use wnoc_core::vc::{VcAssignment, VcConfig};
+use wnoc_core::{Error, Result};
 use wnoc_sim::LatencyStats;
 
 use crate::campaign::{Campaign, CampaignDimension, ConformanceReport};
-use wnoc_core::vc::{VcAssignment, VcConfig};
-
+use crate::json::{self, record, tagged, Codec, Reader};
 use crate::scenario::{
     BufferChoice, DesignChoice, FaultChoice, Scenario, ScenarioFamily, ScenarioOutcome,
     TightnessSummary, TrafficChoice, VcChoice, Violation,
 };
 
-/// Format tag embedded in every checkpoint artifact; bump on any codec
-/// change so stale checkpoints are rejected instead of misparsed.  v3 added
-/// the scenario `traffic` field (the bursty arrival-curve dimension).
+/// Format tag embedded in every checkpoint artifact; bump it on any change
+/// to the bytes, so stale checkpoints are rejected instead of misparsed.
+/// v3 added the scenario `traffic` field (the bursty arrival-curve
+/// dimension).
 ///
 /// The version is **dimension-dependent** (see [`format_version`]): v4 adds
 /// the optional scenario `faults` field, which only the fault-sweep
@@ -188,278 +192,8 @@ pub fn config_hash(campaign: &Campaign) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON value + parser (the checkpoint codec's reader half)
+// The checkpoint format
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value.  Numbers are unsigned 64-bit integers only — the
-/// checkpoint format encodes floats as IEEE-754 bit patterns precisely so
-/// that no decimal float ever needs to round-trip.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Str(String),
-    UInt(u64),
-    Bool(bool),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields
-                .iter()
-                .find_map(|(name, value)| (name == key).then_some(value)),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(value) => Some(*value),
-            _ => None,
-        }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(value) => Some(*value),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Escapes a string for embedding in the checkpoint JSON: backslash, quote,
-/// and control characters (the parser understands exactly these escapes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Deepest array/object nesting the parser accepts.  The deepest legal
-/// checkpoint nests 7 levels (partial → outcomes → outcome → scenario →
-/// family → cores → coordinate); the cap only keeps hostile input from
-/// recursing the parser off the stack.
-const MAX_NESTING: usize = 16;
-
-struct JsonParser<'a> {
-    text: &'a str,
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("{message} at byte {}", self.pos)
-    }
-
-    fn skip_whitespace(&mut self) {
-        let rest = &self.text.as_bytes()[self.pos..];
-        let skipped = rest
-            .iter()
-            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            .count();
-        self.pos += skipped;
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> std::result::Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> std::result::Result<Json, String> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_NESTING {
-                    return Err(self.error("nesting too deep"));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.parse_object()
-                } else {
-                    self.parse_array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => self.parse_string().map(Json::Str),
-            Some(b'0'..=b'9') => self.parse_uint(),
-            Some(b't') | Some(b'f') => self.parse_bool(),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn parse_object(&mut self) -> std::result::Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> std::result::Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> std::result::Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.text[self.pos..];
-            let mut chars = rest.char_indices();
-            let Some((_, ch)) = chars.next() else {
-                return Err(self.error("unterminated string"));
-            };
-            self.pos += ch.len_utf8();
-            match ch {
-                '"' => return Ok(out),
-                '\\' => {
-                    let Some(escape) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .text
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let ch = char::from_u32(code)
-                                .ok_or_else(|| self.error("non-scalar \\u escape"))?;
-                            self.pos += 4;
-                            out.push(ch);
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn parse_uint(&mut self) -> std::result::Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        self.text[start..self.pos]
-            .parse::<u64>()
-            .map(Json::UInt)
-            .map_err(|_| self.error("integer out of range"))
-    }
-
-    fn parse_bool(&mut self) -> std::result::Result<Json, String> {
-        for (literal, value) in [("true", true), ("false", false)] {
-            if self.text[self.pos..].starts_with(literal) {
-                self.pos += literal.len();
-                return Ok(Json::Bool(value));
-            }
-        }
-        Err(self.error("expected 'true' or 'false'"))
-    }
-}
-
-/// Parses one checkpoint JSON document (and requires it to span the whole
-/// input).
-fn parse_json(text: &str) -> std::result::Result<Json, String> {
-    let mut parser = JsonParser::new(text);
-    let value = parser.parse_value()?;
-    parser.skip_whitespace();
-    if parser.pos != text.len() {
-        return Err(parser.error("trailing bytes after document"));
-    }
-    Ok(value)
-}
 
 /// Shorthand: a [`Error::CorruptCheckpoint`] for `path`.
 fn corrupt(path: &Path, reason: impl Into<String>) -> Error {
@@ -469,467 +203,219 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> Error {
     }
 }
 
-/// Fetches a required field, typed, or reports the checkpoint corrupt.
-fn field<'a>(value: &'a Json, key: &str, path: &Path) -> Result<&'a Json> {
-    value
-        .get(key)
-        .ok_or_else(|| corrupt(path, format!("missing field \"{key}\"")))
-}
+record!(ShardRange { index, start, end });
 
-fn field_u64(value: &Json, key: &str, path: &Path) -> Result<u64> {
-    field(value, key, path)?
-        .as_u64()
-        .ok_or_else(|| corrupt(path, format!("field \"{key}\" is not an integer")))
-}
+record!(Violation {
+    flow,
+    oracle,
+    observed,
+    bound
+});
 
-fn field_usize(value: &Json, key: &str, path: &Path) -> Result<usize> {
-    field(value, key, path)?
-        .as_usize()
-        .ok_or_else(|| corrupt(path, format!("field \"{key}\" is not an index")))
-}
+record!(ScenarioOutcome {
+    scenario,
+    flow_count,
+    observed,
+    simulated_cycles,
+    dominance_checked,
+    violations,
+    ordering_violations,
+    tightness
+});
 
-fn field_str<'a>(value: &'a Json, key: &str, path: &Path) -> Result<&'a str> {
-    field(value, key, path)?
-        .as_str()
-        .ok_or_else(|| corrupt(path, format!("field \"{key}\" is not a string")))
-}
+// Every legacy dimension samples `FaultChoice::None`, so its scenarios carry
+// no `faults` field and its checkpoints stay byte-identical to v3.
+record!(Scenario {
+    index,
+    seed,
+    side,
+    family,
+    design,
+    message_flits,
+    cycles,
+    buffers,
+    vcs,
+    traffic;
+    faults = FaultChoice::None
+});
 
-fn field_bool(value: &Json, key: &str, path: &Path) -> Result<bool> {
-    field(value, key, path)?
-        .as_bool()
-        .ok_or_else(|| corrupt(path, format!("field \"{key}\" is not a bool")))
-}
+tagged!(ScenarioFamily {
+    "all-to-one" => AllToOne { hotspot },
+    "one-to-all" => OneToAll { source },
+    "endpoints" => Endpoints { memories },
+    "random-pairs" => RandomPairs { pairs },
+    "placement" => Placement { name, memory, cores },
+});
 
-fn field_array<'a>(value: &'a Json, key: &str, path: &Path) -> Result<&'a [Json]> {
-    field(value, key, path)?
-        .as_array()
-        .ok_or_else(|| corrupt(path, format!("field \"{key}\" is not an array")))
-}
+tagged!(DesignChoice {
+    "regular" => Regular { max_packet_flits },
+    "waw-wap" => WawWap,
+});
 
-// ---------------------------------------------------------------------------
-// Scenario / outcome codec
-// ---------------------------------------------------------------------------
+tagged!(BufferChoice {
+    "default" => Default,
+    "uniform" => Uniform { depth },
+    "heterogeneous" => Heterogeneous { seed },
+});
 
-fn render_coord(coord: Coord) -> String {
-    format!("[{},{}]", coord.x, coord.y)
-}
+tagged!(VcChoice {
+    "default" => Default,
+    "count" => Count { count, assignment },
+});
 
-fn parse_coord(value: &Json, path: &Path) -> Result<Coord> {
-    let items = value
-        .as_array()
-        .filter(|items| items.len() == 2)
-        .ok_or_else(|| corrupt(path, "coordinate is not a two-element array"))?;
-    let component = |item: &Json| {
-        item.as_u64()
-            .and_then(|v| u16::try_from(v).ok())
-            .ok_or_else(|| corrupt(path, "coordinate component out of range"))
-    };
-    Ok(Coord::new(component(&items[0])?, component(&items[1])?))
-}
+tagged!(TrafficChoice {
+    "closed-loop" => ClosedLoop,
+    "bursty" => Bursty { burst, gap, cv },
+});
 
-fn render_coords(coords: &[Coord]) -> String {
-    let items: Vec<String> = coords.iter().map(|&c| render_coord(c)).collect();
-    format!("[{}]", items.join(","))
-}
+tagged!(FaultChoice {
+    "none" => None,
+    "links" => Links { count, seed, activation },
+    "router" => Router { seed, activation },
+});
 
-fn parse_coords(items: &[Json], path: &Path) -> Result<Vec<Coord>> {
-    items.iter().map(|item| parse_coord(item, path)).collect()
-}
+/// An assignment is its [`VcAssignment::tag`] string.
+impl Codec for VcAssignment {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.tag());
+    }
 
-fn render_family(family: &ScenarioFamily) -> String {
-    match family {
-        ScenarioFamily::AllToOne { hotspot } => {
-            format!(
-                "{{\"kind\":\"all-to-one\",\"hotspot\":{}}}",
-                render_coord(*hotspot)
-            )
-        }
-        ScenarioFamily::OneToAll { source } => {
-            format!(
-                "{{\"kind\":\"one-to-all\",\"source\":{}}}",
-                render_coord(*source)
-            )
-        }
-        ScenarioFamily::Endpoints { memories } => {
-            format!(
-                "{{\"kind\":\"endpoints\",\"memories\":{}}}",
-                render_coords(memories)
-            )
-        }
-        ScenarioFamily::RandomPairs { pairs } => {
-            let items: Vec<String> = pairs
-                .iter()
-                .map(|(src, dst)| format!("[{},{}]", src.0, dst.0))
-                .collect();
-            format!(
-                "{{\"kind\":\"random-pairs\",\"pairs\":[{}]}}",
-                items.join(",")
-            )
-        }
-        ScenarioFamily::Placement {
-            name,
-            memory,
-            cores,
-        } => {
-            format!(
-                "{{\"kind\":\"placement\",\"name\":\"{}\",\"memory\":{},\"cores\":{}}}",
-                escape(name),
-                render_coord(*memory),
-                render_coords(cores)
-            )
-        }
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        let tag = reader.string()?;
+        [VcAssignment::FlowIndex, VcAssignment::Distance]
+            .into_iter()
+            .find(|assignment| assignment.tag() == tag)
+            .ok_or_else(|| reader.error(&format!("unknown VC assignment \"{tag}\"")))
     }
 }
 
-fn parse_family(value: &Json, path: &Path) -> Result<ScenarioFamily> {
-    match field_str(value, "kind", path)? {
-        "all-to-one" => Ok(ScenarioFamily::AllToOne {
-            hotspot: parse_coord(field(value, "hotspot", path)?, path)?,
-        }),
-        "one-to-all" => Ok(ScenarioFamily::OneToAll {
-            source: parse_coord(field(value, "source", path)?, path)?,
-        }),
-        "endpoints" => Ok(ScenarioFamily::Endpoints {
-            memories: parse_coords(field_array(value, "memories", path)?, path)?,
-        }),
-        "random-pairs" => {
-            let pairs = field_array(value, "pairs", path)?
-                .iter()
-                .map(|item| {
-                    let ends = item
-                        .as_array()
-                        .filter(|ends| ends.len() == 2)
-                        .ok_or_else(|| corrupt(path, "flow pair is not a two-element array"))?;
-                    let node = |end: &Json| {
-                        end.as_usize()
-                            .map(NodeId)
-                            .ok_or_else(|| corrupt(path, "flow endpoint is not a node id"))
-                    };
-                    Ok((node(&ends[0])?, node(&ends[1])?))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(ScenarioFamily::RandomPairs { pairs })
-        }
-        "placement" => Ok(ScenarioFamily::Placement {
-            name: field_str(value, "name", path)?.to_string(),
-            memory: parse_coord(field(value, "memory", path)?, path)?,
-            cores: parse_coords(field_array(value, "cores", path)?, path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown family kind \"{unknown}\""))),
+impl Codec for LatencyStats {
+    fn write(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
+            self.count, self.sum, self.min, self.max
+        );
+    }
+
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        reader.expect(b'{')?;
+        reader.key("count")?;
+        let count = reader.uint()?;
+        reader.field("sum")?;
+        let sum = reader.uint()?;
+        reader.field("min")?;
+        let min = reader.uint()?;
+        reader.field("max")?;
+        let max = reader.uint()?;
+        reader.expect(b'}')?;
+        LatencyStats::from_parts(count, sum, min, max)
+            .ok_or_else(|| reader.error("latency summary violates the merge algebra"))
     }
 }
 
-fn render_design(design: &DesignChoice) -> String {
-    match design {
-        DesignChoice::Regular { max_packet_flits } => {
-            format!("{{\"kind\":\"regular\",\"max_packet_flits\":{max_packet_flits}}}")
-        }
-        DesignChoice::WawWap => "{\"kind\":\"waw-wap\"}".to_string(),
+/// Ratios travel as IEEE-754 bit patterns: the merged report re-renders
+/// them with the same `{:.6}`/`{:.3}` formatting as the single-process run,
+/// so the bits — not a decimal approximation — must survive the round trip.
+impl Codec for TightnessSummary {
+    fn write(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"flows\":{},\"mean_bits\":{},\"min_bits\":{},\"max_bits\":{}}}",
+            self.flows,
+            self.mean.to_bits(),
+            self.min.to_bits(),
+            self.max.to_bits()
+        );
     }
-}
 
-fn parse_design(value: &Json, path: &Path) -> Result<DesignChoice> {
-    match field_str(value, "kind", path)? {
-        "regular" => {
-            let flits = field_u64(value, "max_packet_flits", path)?;
-            let max_packet_flits =
-                u32::try_from(flits).map_err(|_| corrupt(path, "max_packet_flits out of range"))?;
-            Ok(DesignChoice::Regular { max_packet_flits })
-        }
-        "waw-wap" => Ok(DesignChoice::WawWap),
-        unknown => Err(corrupt(path, format!("unknown design kind \"{unknown}\""))),
-    }
-}
-
-fn render_buffers(buffers: &BufferChoice) -> String {
-    match buffers {
-        BufferChoice::Default => "{\"kind\":\"default\"}".to_string(),
-        BufferChoice::Uniform { depth } => {
-            format!("{{\"kind\":\"uniform\",\"depth\":{depth}}}")
-        }
-        BufferChoice::Heterogeneous { seed } => {
-            format!("{{\"kind\":\"heterogeneous\",\"seed\":{seed}}}")
-        }
-    }
-}
-
-fn parse_buffers(value: &Json, path: &Path) -> Result<BufferChoice> {
-    match field_str(value, "kind", path)? {
-        "default" => Ok(BufferChoice::Default),
-        "uniform" => {
-            let depth = field_u64(value, "depth", path)?;
-            let depth =
-                u32::try_from(depth).map_err(|_| corrupt(path, "buffer depth out of range"))?;
-            Ok(BufferChoice::Uniform { depth })
-        }
-        "heterogeneous" => Ok(BufferChoice::Heterogeneous {
-            seed: field_u64(value, "seed", path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown buffer kind \"{unknown}\""))),
-    }
-}
-
-fn render_vcs(vcs: &VcChoice) -> String {
-    match vcs {
-        VcChoice::Default => "{\"kind\":\"default\"}".to_string(),
-        VcChoice::Count { count, assignment } => {
-            format!(
-                "{{\"kind\":\"count\",\"count\":{count},\"assignment\":\"{}\"}}",
-                assignment.tag()
-            )
-        }
-    }
-}
-
-fn parse_vcs(value: &Json, path: &Path) -> Result<VcChoice> {
-    match field_str(value, "kind", path)? {
-        "default" => Ok(VcChoice::Default),
-        "count" => {
-            let count = field_u64(value, "count", path)?;
-            let count = u32::try_from(count).map_err(|_| corrupt(path, "VC count out of range"))?;
-            let assignment = match field_str(value, "assignment", path)? {
-                "idx" => VcAssignment::FlowIndex,
-                "dist" => VcAssignment::Distance,
-                unknown => {
-                    return Err(corrupt(
-                        path,
-                        format!("unknown VC assignment \"{unknown}\""),
-                    ))
-                }
-            };
-            // Only counts the router supports materialise (`VcChoice::config`).
-            VcConfig::new(count, assignment).map_err(|error| corrupt(path, error.to_string()))?;
-            Ok(VcChoice::Count { count, assignment })
-        }
-        unknown => Err(corrupt(path, format!("unknown VC kind \"{unknown}\""))),
-    }
-}
-
-fn render_traffic(traffic: &TrafficChoice) -> String {
-    match traffic {
-        TrafficChoice::ClosedLoop => "{\"kind\":\"closed-loop\"}".to_string(),
-        TrafficChoice::Bursty { burst, gap, cv } => {
-            format!("{{\"kind\":\"bursty\",\"burst\":{burst},\"gap\":{gap},\"cv\":{cv}}}")
-        }
-    }
-}
-
-fn parse_traffic(value: &Json, path: &Path) -> Result<TrafficChoice> {
-    match field_str(value, "kind", path)? {
-        "closed-loop" => Ok(TrafficChoice::ClosedLoop),
-        "bursty" => {
-            let component = |key: &str| -> Result<u32> {
-                let raw = field_u64(value, key, path)?;
-                u32::try_from(raw).map_err(|_| corrupt(path, format!("{key} out of range")))
-            };
-            Ok(TrafficChoice::Bursty {
-                burst: component("burst")?,
-                gap: component("gap")?,
-                cv: component("cv")?,
-            })
-        }
-        unknown => Err(corrupt(path, format!("unknown traffic kind \"{unknown}\""))),
-    }
-}
-
-fn render_faults(faults: &FaultChoice) -> String {
-    match faults {
-        FaultChoice::None => "{\"kind\":\"none\"}".to_string(),
-        FaultChoice::Links {
-            count,
-            seed,
-            activation,
-        } => format!(
-            "{{\"kind\":\"links\",\"count\":{count},\"seed\":{seed},\"activation\":{activation}}}"
-        ),
-        FaultChoice::Router { seed, activation } => {
-            format!("{{\"kind\":\"router\",\"seed\":{seed},\"activation\":{activation}}}")
-        }
-    }
-}
-
-fn parse_faults(value: &Json, path: &Path) -> Result<FaultChoice> {
-    match field_str(value, "kind", path)? {
-        "none" => Ok(FaultChoice::None),
-        "links" => {
-            let count = field_u64(value, "count", path)?;
-            Ok(FaultChoice::Links {
-                count: u32::try_from(count)
-                    .map_err(|_| corrupt(path, "fault count out of range"))?,
-                seed: field_u64(value, "seed", path)?,
-                activation: field_u64(value, "activation", path)?,
-            })
-        }
-        "router" => Ok(FaultChoice::Router {
-            seed: field_u64(value, "seed", path)?,
-            activation: field_u64(value, "activation", path)?,
-        }),
-        unknown => Err(corrupt(path, format!("unknown fault kind \"{unknown}\""))),
-    }
-}
-
-fn render_scenario(scenario: &Scenario) -> String {
-    // The `faults` field is emitted only when present (v4): every legacy
-    // dimension samples `FaultChoice::None`, so its checkpoints — and the
-    // goldens hashed over them — remain byte-identical to v3.
-    let faults = if scenario.faults.is_none() {
-        String::new()
-    } else {
-        format!(",\"faults\":{}", render_faults(&scenario.faults))
-    };
-    format!(
-        "{{\"index\":{},\"seed\":{},\"side\":{},\"family\":{},\"design\":{},\
-         \"message_flits\":{},\"cycles\":{},\"buffers\":{},\"vcs\":{},\"traffic\":{}{}}}",
-        scenario.index,
-        scenario.seed,
-        scenario.side,
-        render_family(&scenario.family),
-        render_design(&scenario.design),
-        scenario.message_flits,
-        scenario.cycles,
-        render_buffers(&scenario.buffers),
-        render_vcs(&scenario.vcs),
-        render_traffic(&scenario.traffic),
-        faults
-    )
-}
-
-fn parse_scenario(value: &Json, path: &Path) -> Result<Scenario> {
-    let side = field_u64(value, "side", path)?;
-    let message_flits = field_u64(value, "message_flits", path)?;
-    Ok(Scenario {
-        index: field_usize(value, "index", path)?,
-        seed: field_u64(value, "seed", path)?,
-        side: u16::try_from(side).map_err(|_| corrupt(path, "mesh side out of range"))?,
-        family: parse_family(field(value, "family", path)?, path)?,
-        design: parse_design(field(value, "design", path)?, path)?,
-        message_flits: u32::try_from(message_flits)
-            .map_err(|_| corrupt(path, "message_flits out of range"))?,
-        cycles: field_u64(value, "cycles", path)?,
-        buffers: parse_buffers(field(value, "buffers", path)?, path)?,
-        vcs: parse_vcs(field(value, "vcs", path)?, path)?,
-        traffic: parse_traffic(field(value, "traffic", path)?, path)?,
-        faults: match value.get("faults") {
-            Some(faults) => parse_faults(faults, path)?,
-            None => FaultChoice::None,
-        },
-    })
-}
-
-fn render_stats(stats: &LatencyStats) -> String {
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-        stats.count, stats.sum, stats.min, stats.max
-    )
-}
-
-fn parse_stats(value: &Json, path: &Path) -> Result<LatencyStats> {
-    LatencyStats::from_parts(
-        field_u64(value, "count", path)?,
-        field_u64(value, "sum", path)?,
-        field_u64(value, "min", path)?,
-        field_u64(value, "max", path)?,
-    )
-    .ok_or_else(|| corrupt(path, "latency summary violates the merge algebra"))
-}
-
-/// Tightness ratios are serialized as IEEE-754 bit patterns: the merged
-/// report re-renders them with the same `{:.6}`/`{:.3}` formatting as the
-/// single-process run, so the bits — not a decimal approximation — must
-/// survive the round trip.
-fn render_tightness(tightness: &TightnessSummary) -> String {
-    format!(
-        "{{\"flows\":{},\"mean_bits\":{},\"min_bits\":{},\"max_bits\":{}}}",
-        tightness.flows,
-        tightness.mean.to_bits(),
-        tightness.min.to_bits(),
-        tightness.max.to_bits()
-    )
-}
-
-fn parse_tightness(value: &Json, path: &Path) -> Result<TightnessSummary> {
-    let ratio = |key| {
-        let ratio = f64::from_bits(field_u64(value, key, path)?);
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        reader.expect(b'{')?;
+        reader.key("flows")?;
+        let flows = Codec::read(reader)?;
         // Ratios of finite observations to positive bounds; the report's
         // tightest-scenario ordering needs them comparable.
-        if ratio.is_finite() {
-            Ok(ratio)
-        } else {
-            Err(corrupt(path, format!("{key} is not a finite ratio")))
-        }
+        let mut ratio = |name| {
+            reader.field(name)?;
+            let ratio = f64::from_bits(reader.uint()?);
+            if ratio.is_finite() {
+                Ok(ratio)
+            } else {
+                Err(reader.error(&format!("{name} is not a finite ratio")))
+            }
+        };
+        let summary = TightnessSummary {
+            flows,
+            mean: ratio("mean_bits")?,
+            min: ratio("min_bits")?,
+            max: ratio("max_bits")?,
+        };
+        reader.expect(b'}')?;
+        Ok(summary)
+    }
+}
+
+/// Writes the six fields that open both a partial report and
+/// `campaign.json`.
+fn write_header(out: &mut String, campaign: &Campaign, kind: &str) {
+    let _ = write!(
+        out,
+        "{{\n\"format\":\"{}\",\n\"kind\":\"{kind}\",\n\"config_hash\":{},\n\
+         \"dimension\":\"{}\",\n\"seed\":{},\n\"scenario_count\":{}",
+        format_version(campaign.dimension),
+        config_hash(campaign),
+        campaign.dimension.tag(),
+        campaign.seed,
+        campaign.scenarios
+    );
+}
+
+/// Reads the fields [`write_header`] writes and checks them: the kind, the
+/// dimension's format version and the config hash.
+fn read_header(reader: &mut Reader<'_>, kind: &str) -> json::Result<Campaign> {
+    reader.expect(b'{')?;
+    reader.key("format")?;
+    let format = reader.string()?;
+    reader.field("kind")?;
+    if reader.string()? != kind {
+        return Err(reader.error(&format!("not a {kind} file")));
+    }
+    reader.field("config_hash")?;
+    let hash = reader.uint()?;
+    reader.field("dimension")?;
+    let tag = reader.string()?;
+    let dimension = CampaignDimension::from_tag(&tag)
+        .ok_or_else(|| reader.error(&format!("unknown dimension \"{tag}\"")))?;
+    if format != format_version(dimension) {
+        return Err(reader.error("unknown format version"));
+    }
+    reader.field("seed")?;
+    let seed = Codec::read(reader)?;
+    reader.field("scenario_count")?;
+    let scenarios = Codec::read(reader)?;
+    let campaign = Campaign {
+        seed,
+        scenarios,
+        dimension,
     };
-    Ok(TightnessSummary {
-        flows: field_usize(value, "flows", path)?,
-        mean: ratio("mean_bits")?,
-        min: ratio("min_bits")?,
-        max: ratio("max_bits")?,
-    })
+    if hash != config_hash(&campaign) {
+        return Err(reader.error("config hash does not match campaign fields"));
+    }
+    Ok(campaign)
 }
 
-fn render_violation(violation: &Violation) -> String {
-    format!(
-        "{{\"flow\":{},\"oracle\":\"{}\",\"observed\":{},\"bound\":{}}}",
-        violation.flow.0,
-        escape(&violation.oracle),
-        violation.observed,
-        violation.bound
-    )
-}
+/// `campaign.json`: the header alone, naming the directory's campaign.
+impl Codec for Campaign {
+    fn write(&self, out: &mut String) {
+        write_header(out, self, "campaign");
+        out.push_str("\n}");
+    }
 
-fn parse_violation(value: &Json, path: &Path) -> Result<Violation> {
-    Ok(Violation {
-        flow: FlowId(field_usize(value, "flow", path)?),
-        oracle: field_str(value, "oracle", path)?.to_string(),
-        observed: field_u64(value, "observed", path)?,
-        bound: field_u64(value, "bound", path)?,
-    })
-}
-
-fn render_outcome(outcome: &ScenarioOutcome) -> String {
-    let violations: Vec<String> = outcome.violations.iter().map(render_violation).collect();
-    let ordering: Vec<String> = outcome
-        .ordering_violations
-        .iter()
-        .map(|text| format!("\"{}\"", escape(text)))
-        .collect();
-    format!(
-        "{{\"scenario\":{},\"flow_count\":{},\"observed\":{},\"simulated_cycles\":{},\
-         \"dominance_checked\":{},\"violations\":[{}],\"ordering_violations\":[{}],\
-         \"tightness\":{}}}",
-        render_scenario(&outcome.scenario),
-        outcome.flow_count,
-        render_stats(&outcome.observed),
-        outcome.simulated_cycles,
-        outcome.dominance_checked,
-        violations.join(","),
-        ordering.join(","),
-        render_tightness(&outcome.tightness)
-    )
-}
-
-fn parse_outcome(value: &Json, path: &Path) -> Result<ScenarioOutcome> {
-    let violations = field_array(value, "violations", path)?
-        .iter()
-        .map(|item| parse_violation(item, path))
-        .collect::<Result<Vec<_>>>()?;
-    let ordering_violations = field_array(value, "ordering_violations", path)?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| corrupt(path, "ordering violation is not a string"))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(ScenarioOutcome {
-        scenario: parse_scenario(field(value, "scenario", path)?, path)?,
-        flow_count: field_usize(value, "flow_count", path)?,
-        observed: parse_stats(field(value, "observed", path)?, path)?,
-        simulated_cycles: field_u64(value, "simulated_cycles", path)?,
-        dominance_checked: field_bool(value, "dominance_checked", path)?,
-        violations,
-        ordering_violations,
-        tightness: parse_tightness(field(value, "tightness", path)?, path)?,
-    })
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        let campaign = read_header(reader, "campaign")?;
+        reader.expect(b'}')?;
+        Ok(campaign)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -983,41 +469,7 @@ impl PartialReport {
 
     /// Serializes the partial as deterministic JSON (one outcome per line).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "\"format\":\"{}\",\n",
-            format_version(self.campaign.dimension)
-        ));
-        out.push_str("\"kind\":\"partial\",\n");
-        out.push_str(&format!(
-            "\"config_hash\":{},\n",
-            config_hash(&self.campaign)
-        ));
-        out.push_str(&format!(
-            "\"dimension\":\"{}\",\n",
-            self.campaign.dimension.tag()
-        ));
-        out.push_str(&format!("\"seed\":{},\n", self.campaign.seed));
-        out.push_str(&format!(
-            "\"scenario_count\":{},\n",
-            self.campaign.scenarios
-        ));
-        out.push_str(&format!(
-            "\"shard\":{{\"index\":{},\"start\":{},\"end\":{}}},\n",
-            self.shard.index, self.shard.start, self.shard.end
-        ));
-        out.push_str("\"outcomes\":[\n");
-        for (position, outcome) in self.outcomes.iter().enumerate() {
-            let comma = if position + 1 < self.outcomes.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("{}{comma}\n", render_outcome(outcome)));
-        }
-        out.push_str("]\n}\n");
-        out
+        json::render(self)
     }
 
     /// Parses a partial report and validates its internal consistency: the
@@ -1029,54 +481,52 @@ impl PartialReport {
     /// Returns [`Error::CorruptCheckpoint`] (with `path` as the blamed
     /// artifact) on any parse or consistency failure.
     pub fn parse_json(text: &str, path: &Path) -> Result<Self> {
-        let value = parse_json(text).map_err(|reason| corrupt(path, reason))?;
-        if field_str(&value, "kind", path)? != "partial" {
-            return Err(corrupt(path, "not a partial report"));
+        json::parse(text).map_err(|reason| corrupt(path, reason))
+    }
+}
+
+impl Codec for PartialReport {
+    fn write(&self, out: &mut String) {
+        write_header(out, &self.campaign, "partial");
+        out.push_str(",\n\"shard\":");
+        self.shard.write(out);
+        out.push_str(",\n\"outcomes\":[\n");
+        for (position, outcome) in self.outcomes.iter().enumerate() {
+            outcome.write(out);
+            out.push_str(if position + 1 < self.outcomes.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
-        // The expected format tag depends on the dimension (v4 for the fault
-        // sweep, v3 otherwise), so resolve the dimension before checking it.
-        let dimension_tag = field_str(&value, "dimension", path)?;
-        let dimension = CampaignDimension::from_tag(dimension_tag)
-            .ok_or_else(|| corrupt(path, format!("unknown dimension \"{dimension_tag}\"")))?;
-        if field_str(&value, "format", path)? != format_version(dimension) {
-            return Err(corrupt(path, "unknown format version"));
-        }
-        let campaign = Campaign {
-            seed: field_u64(&value, "seed", path)?,
-            scenarios: field_usize(&value, "scenario_count", path)?,
-            dimension,
-        };
-        if field_u64(&value, "config_hash", path)? != config_hash(&campaign) {
-            return Err(corrupt(path, "config hash does not match campaign fields"));
-        }
-        let shard_value = field(&value, "shard", path)?;
-        let shard = ShardRange {
-            index: field_usize(shard_value, "index", path)?,
-            start: field_usize(shard_value, "start", path)?,
-            end: field_usize(shard_value, "end", path)?,
-        };
+        out.push_str("]\n}");
+    }
+
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        let campaign = read_header(reader, "partial")?;
+        reader.field("shard")?;
+        let shard: ShardRange = Codec::read(reader)?;
+        reader.field("outcomes")?;
+        let outcomes: Vec<ScenarioOutcome> = Codec::read(reader)?;
+        reader.expect(b'}')?;
         if shard.start > shard.end || shard.end > campaign.scenarios {
-            return Err(corrupt(path, "shard range outside the campaign"));
+            return Err(reader.error("shard range outside the campaign"));
         }
-        let outcomes = field_array(&value, "outcomes", path)?
-            .iter()
-            .map(|item| parse_outcome(item, path))
-            .collect::<Result<Vec<_>>>()?;
         if outcomes.len() != shard.len() {
-            return Err(corrupt(
-                path,
-                "outcome count does not match the shard range",
-            ));
+            return Err(reader.error("outcome count does not match the shard range"));
         }
         for (offset, outcome) in outcomes.iter().enumerate() {
-            if outcome.scenario.index != shard.start + offset {
-                return Err(corrupt(
-                    path,
-                    "outcome indices do not match the shard range",
-                ));
+            let scenario = &outcome.scenario;
+            if scenario.index != shard.start + offset {
+                return Err(reader.error("outcome indices do not match the shard range"));
             }
-            if outcome.scenario.seed != campaign.seed {
-                return Err(corrupt(path, "outcome seed does not match the campaign"));
+            if scenario.seed != campaign.seed {
+                return Err(reader.error("outcome seed does not match the campaign"));
+            }
+            // Only counts the router supports materialise (`VcChoice::config`).
+            if let VcChoice::Count { count, assignment } = scenario.vcs {
+                VcConfig::new(count, assignment)
+                    .map_err(|error| reader.error(&error.to_string()))?;
             }
         }
         Ok(Self {
@@ -1110,18 +560,7 @@ pub struct ShardManifest {
 impl ShardManifest {
     /// Serializes the manifest as deterministic JSON.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\n\"format\":\"{FORMAT_VERSION}\",\n\"kind\":\"manifest\",\n\
-             \"config_hash\":{},\n\
-             \"shard\":{{\"index\":{},\"start\":{},\"end\":{}}},\n\
-             \"outcomes\":{},\n\"partial_digest\":{}\n}}\n",
-            self.config_hash,
-            self.shard.index,
-            self.shard.start,
-            self.shard.end,
-            self.outcomes,
-            self.partial_digest
-        )
+        json::render(self)
     }
 
     /// Parses a manifest.
@@ -1130,23 +569,51 @@ impl ShardManifest {
     ///
     /// Returns [`Error::CorruptCheckpoint`] on any parse failure.
     pub fn parse_json(text: &str, path: &Path) -> Result<Self> {
-        let value = parse_json(text).map_err(|reason| corrupt(path, reason))?;
-        if field_str(&value, "format", path)? != FORMAT_VERSION {
-            return Err(corrupt(path, "unknown format version"));
+        json::parse(text).map_err(|reason| corrupt(path, reason))
+    }
+}
+
+/// A manifest is always v3: it carries no scenario payload.
+impl Codec for ShardManifest {
+    fn write(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\n\"format\":\"{FORMAT_VERSION}\",\n\"kind\":\"manifest\",\n\
+             \"config_hash\":{},\n\"shard\":",
+            self.config_hash
+        );
+        self.shard.write(out);
+        let _ = write!(
+            out,
+            ",\n\"outcomes\":{},\n\"partial_digest\":{}\n}}",
+            self.outcomes, self.partial_digest
+        );
+    }
+
+    fn read(reader: &mut Reader<'_>) -> json::Result<Self> {
+        reader.expect(b'{')?;
+        reader.key("format")?;
+        if reader.string()? != FORMAT_VERSION {
+            return Err(reader.error("unknown format version"));
         }
-        if field_str(&value, "kind", path)? != "manifest" {
-            return Err(corrupt(path, "not a shard manifest"));
+        reader.field("kind")?;
+        if reader.string()? != "manifest" {
+            return Err(reader.error("not a shard manifest"));
         }
-        let shard_value = field(&value, "shard", path)?;
+        reader.field("config_hash")?;
+        let config_hash = reader.uint()?;
+        reader.field("shard")?;
+        let shard = Codec::read(reader)?;
+        reader.field("outcomes")?;
+        let outcomes = Codec::read(reader)?;
+        reader.field("partial_digest")?;
+        let partial_digest = reader.uint()?;
+        reader.expect(b'}')?;
         Ok(Self {
-            config_hash: field_u64(&value, "config_hash", path)?,
-            shard: ShardRange {
-                index: field_usize(shard_value, "index", path)?,
-                start: field_usize(shard_value, "start", path)?,
-                end: field_usize(shard_value, "end", path)?,
-            },
-            outcomes: field_usize(&value, "outcomes", path)?,
-            partial_digest: field_u64(&value, "partial_digest", path)?,
+            config_hash,
+            shard,
+            outcomes,
+            partial_digest,
         })
     }
 }
@@ -1272,32 +739,19 @@ impl Fleet {
         self.dir.join("campaign.json")
     }
 
-    fn render_campaign_manifest(&self) -> String {
-        format!(
-            "{{\n\"format\":\"{}\",\n\"kind\":\"campaign\",\n\
-             \"config_hash\":{},\n\"dimension\":\"{}\",\n\"seed\":{},\n\
-             \"scenario_count\":{}\n}}\n",
-            format_version(self.campaign.dimension),
-            self.config_hash(),
-            self.campaign.dimension.tag(),
-            self.campaign.seed,
-            self.campaign.scenarios
-        )
-    }
-
     /// Creates the campaign directory and its `campaign.json` manifest, or
     /// validates an existing one for resume.
     ///
-    /// A directory whose manifest carries a *different* config hash is a
+    /// A directory whose manifest does not decode as this campaign's —
+    /// another seed, size or dimension, or another format version — is a
     /// stale checkpoint dir from another campaign: it is **rejected**, never
     /// merged — pass `fresh = true` (the front-end's `--fresh`) to wipe and
     /// re-initialise it instead.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::CorruptCheckpoint`] for a config mismatch or an
-    /// unreadable/unparseable manifest, and wraps filesystem errors the same
-    /// way.
+    /// Returns [`Error::CorruptCheckpoint`] for a config mismatch, and wraps
+    /// filesystem errors the same way.
     pub fn prepare_dir(&self, fresh: bool) -> Result<()> {
         let manifest_path = self.campaign_manifest_path();
         if fresh && self.dir.exists() {
@@ -1306,31 +760,28 @@ impl Fleet {
         }
         fs::create_dir_all(&self.dir)
             .map_err(|e| corrupt(&self.dir, format!("cannot create directory: {e}")))?;
-        let expected = self.render_campaign_manifest();
         match fs::read_to_string(&manifest_path) {
             Ok(existing) => {
-                let parsed =
-                    parse_json(&existing).map_err(|reason| corrupt(&manifest_path, reason))?;
-                let hash = field_u64(&parsed, "config_hash", &manifest_path)?;
-                if hash != self.config_hash() {
-                    return Err(corrupt(
-                        &manifest_path,
-                        format!(
-                            "campaign config mismatch (directory has {:#018x}, this campaign \
-                             is {:#018x}: seed {}, {} scenarios, {} dimension) — use a \
-                             different --dir or pass --fresh to discard the old checkpoints",
-                            hash,
-                            self.config_hash(),
-                            self.campaign.seed,
-                            self.campaign.scenarios,
-                            self.campaign.dimension.tag()
-                        ),
-                    ));
-                }
-                Ok(())
+                let found = match json::parse::<Campaign>(&existing) {
+                    Ok(found) if found == self.campaign => return Ok(()),
+                    Ok(found) => format!("{:#018x}", config_hash(&found)),
+                    Err(reason) => format!("a manifest this build cannot read: {reason}"),
+                };
+                Err(corrupt(
+                    &manifest_path,
+                    format!(
+                        "campaign config mismatch (directory has {found}, this campaign is \
+                         {:#018x}: seed {}, {} scenarios, {} dimension) — use a different --dir \
+                         or pass --fresh to discard the old checkpoints",
+                        self.config_hash(),
+                        self.campaign.seed,
+                        self.campaign.scenarios,
+                        self.campaign.dimension.tag()
+                    ),
+                ))
             }
             Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
-                write_atomic(&manifest_path, expected.as_bytes())
+                write_atomic(&manifest_path, json::render(&self.campaign).as_bytes())
             }
             Err(error) => Err(corrupt(
                 &manifest_path,
@@ -1739,6 +1190,12 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wnoc_core::{Coord, FlowId, NodeId};
+
+    /// `value` written and read back through the checkpoint codec.
+    fn round_trip<T: Codec>(value: &T) -> T {
+        json::parse(&json::render(value)).expect("the codec reads what it writes")
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1898,9 +1355,7 @@ mod tests {
     #[test]
     fn outcome_codec_round_trips_exactly() {
         let outcome = nasty_outcome();
-        let rendered = render_outcome(&outcome);
-        let parsed = parse_json(&rendered).expect("rendered outcome parses");
-        let back = parse_outcome(&parsed, Path::new("inline")).expect("outcome reconstructs");
+        let back = round_trip(&outcome);
         assert_eq!(back, outcome);
         // Float bits, not decimal approximations.
         assert_eq!(
@@ -1935,10 +1390,7 @@ mod tests {
             },
         ];
         for family in families {
-            let rendered = render_family(&family);
-            let parsed = parse_json(&rendered).expect("family renders as JSON");
-            let back = parse_family(&parsed, Path::new("inline")).expect("family reconstructs");
-            assert_eq!(back, family);
+            assert_eq!(round_trip(&family), family);
         }
     }
 
@@ -1957,10 +1409,7 @@ mod tests {
                 cv: 50,
             },
         ] {
-            let rendered = render_traffic(&traffic);
-            let parsed = parse_json(&rendered).expect("traffic renders as JSON");
-            let back = parse_traffic(&parsed, Path::new("inline")).expect("traffic reconstructs");
-            assert_eq!(back, traffic);
+            assert_eq!(round_trip(&traffic), traffic);
         }
     }
 
@@ -1978,10 +1427,7 @@ mod tests {
                 activation: 5_000,
             },
         ] {
-            let rendered = render_faults(&faults);
-            let parsed = parse_json(&rendered).expect("faults render as JSON");
-            let back = parse_faults(&parsed, Path::new("inline")).expect("faults reconstruct");
-            assert_eq!(back, faults);
+            assert_eq!(round_trip(&faults), faults);
         }
     }
 
@@ -1991,18 +1437,15 @@ mod tests {
     #[test]
     fn fault_field_is_omitted_when_absent_and_round_trips_when_present() {
         let mut scenario = nasty_outcome().scenario;
-        assert!(!render_scenario(&scenario).contains("faults"));
+        assert!(!json::render(&scenario).contains("faults"));
 
         scenario.faults = FaultChoice::Links {
             count: 2,
             seed: 31_337,
             activation: 617,
         };
-        let rendered = render_scenario(&scenario);
-        assert!(rendered.contains("\"faults\":"));
-        let parsed = parse_json(&rendered).expect("scenario renders as JSON");
-        let back = parse_scenario(&parsed, Path::new("inline")).expect("scenario reconstructs");
-        assert_eq!(back, scenario);
+        assert!(json::render(&scenario).contains("\"faults\":"));
+        assert_eq!(round_trip(&scenario), scenario);
     }
 
     /// Fault-sweep partials carry the v4 format tag and survive the full
@@ -2192,6 +1635,18 @@ mod tests {
             assert!(matches!(error, Error::CorruptCheckpoint { .. }), "{error}");
             assert!(error.to_string().contains("config mismatch"), "{error}");
         }
+        // So must the same campaign's manifest in another format version,
+        // whose hash was taken over that version's tag.
+        let manifest_path = original.campaign_manifest_path();
+        let current = fs::read_to_string(&manifest_path).unwrap();
+        let v2_hash = fnv1a(b"wnoc-fleet/v2 dimension=core seed=7 scenarios=4");
+        let v2 = current
+            .replace(FORMAT_VERSION, "wnoc-fleet/v2")
+            .replace(&original.config_hash().to_string(), &v2_hash.to_string());
+        fs::write(&manifest_path, v2).unwrap();
+        let error = original.prepare_dir(false).unwrap_err();
+        assert!(error.to_string().contains("config mismatch"), "{error}");
+        fs::write(&manifest_path, current).unwrap();
 
         // Same config resumes fine; --fresh wipes and re-initialises.
         original.prepare_dir(false).unwrap();
@@ -2286,6 +1741,27 @@ mod tests {
                 Err(Error::CorruptCheckpoint { .. })
             ));
         }
+    }
+
+    /// A scenario label holds the placement name, which a decoded
+    /// checkpoint may fill with any character: the report must escape
+    /// control characters too, or a line break lands inside a JSON string.
+    #[test]
+    fn report_json_escapes_control_characters() {
+        let render = |name: &str| {
+            let mut outcome = nasty_outcome();
+            if let ScenarioFamily::Placement { name: placed, .. } = &mut outcome.scenario.family {
+                *placed = name.to_string();
+            }
+            ConformanceReport {
+                seed: 9,
+                outcomes: vec![outcome],
+            }
+            .render_json()
+        };
+        let nasty = render("P\"\\\n1");
+        assert!(nasty.contains(r#"placement(P\"\\\u000a1)"#), "{nasty}");
+        assert_eq!(nasty.lines().count(), render("P1").lines().count());
     }
 
     #[test]

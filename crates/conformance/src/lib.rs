@@ -43,6 +43,7 @@
 
 pub mod campaign;
 pub mod fleet;
+mod json;
 pub mod scenario;
 
 pub use campaign::{Campaign, CampaignDimension, ConformanceReport, DesignSummary};

@@ -18,8 +18,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -42,7 +40,7 @@ use wnoc_sim::{LatencyStats, SaturatedReport, Simulation};
 use wnoc_workloads::Placement;
 
 /// The NoC design a scenario runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DesignChoice {
     /// Baseline round-robin mesh with maximum packet size `L`.
     Regular {
@@ -70,7 +68,7 @@ impl DesignChoice {
 
 /// The router input-buffer sizing of a scenario — the buffer-depth dimension
 /// of the conformance space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferChoice {
     /// The design's historical buffering (uniform at
     /// [`NocConfig::input_buffer_flits`]); scenarios sampled by
@@ -117,7 +115,7 @@ impl BufferChoice {
 
 /// The virtual-channel configuration of a scenario — the VC dimension of the
 /// conformance space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcChoice {
     /// The paper's single-queue router ([`VcConfig::single`]); scenarios
     /// sampled by [`Scenario::sample`] and [`Scenario::sample_buffered`]
@@ -155,7 +153,7 @@ impl VcChoice {
 
 /// The traffic discipline of a scenario — the arrival dimension of the
 /// conformance space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficChoice {
     /// Closed-loop probing ([`Simulation::run_closed_loop`]): every flow
     /// keeps exactly one message in flight, observing *traversal* latencies.
@@ -204,7 +202,7 @@ impl TrafficChoice {
 /// activation), not concrete coordinates: the plan is rematerialised from the
 /// mesh via the deterministic [`FaultPlan`] samplers, so a scenario stays a
 /// small self-contained value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultChoice {
     /// The healthy network; scenarios sampled outside the fault dimension
     /// always use it, keeping legacy campaigns byte-identical (the fault
@@ -276,7 +274,7 @@ impl FaultChoice {
 
 /// The flow-set family of a scenario, with its sampled parameters baked in so
 /// the scenario is self-contained and serializable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioFamily {
     /// Every node sends to one hotspot (the paper's memory-controller
     /// scenario, with a randomized hotspot position).
@@ -414,7 +412,7 @@ impl FlowSetCache {
 }
 
 /// One sampled conformance scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Position in the campaign (also the replay key together with `seed`).
     pub index: usize,
@@ -447,7 +445,7 @@ pub struct Scenario {
 /// One dominance violation: an observation above an analysis' bound.  An
 /// empty violation list is the conformance verdict the harness exists to
 /// check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The violating flow.
     pub flow: FlowId,
@@ -460,7 +458,7 @@ pub struct Violation {
 }
 
 /// Summary of per-flow tightness ratios (`observed_max / primary_bound`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TightnessSummary {
     /// Flows with at least one observation.
     pub flows: usize,
@@ -493,7 +491,7 @@ impl TightnessSummary {
 }
 
 /// The result of running one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// The scenario that produced this outcome.
     pub scenario: Scenario,

@@ -1,8 +1,8 @@
 //! Property-based fleet conformance: for random (scenario count, shard
-//! count, merge order) triples, the sharded pipeline — partition, per-shard
-//! partial reports, a full JSON round trip through the checkpoint codec,
-//! and an order-shuffled merge — produces a report *byte-identical* to the
-//! single-process [`Campaign::run`] output.
+//! count, merge order, campaign dimension) draws, the sharded pipeline —
+//! partition, per-shard partial reports, a full JSON round trip through the
+//! checkpoint codec, and an order-shuffled merge — produces a report
+//! *byte-identical* to the single-process [`Campaign::run`] output.
 //!
 //! A second property damages rendered checkpoints and requires the codec to
 //! answer with a named `CorruptCheckpoint`, never a panic.
@@ -31,8 +31,20 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
+/// Every campaign dimension's constructor: VC counts, bursty traffic and the
+/// v4 fault plans must all cross the codec and the merge.
+const DIMENSIONS: [fn(u64, usize) -> Campaign; 5] = [
+    Campaign::new,
+    Campaign::buffer_sweep,
+    Campaign::vc_sweep,
+    Campaign::bursty_sweep,
+    Campaign::fault_sweep,
+];
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    // Twelve cases: the fixed sampling stream draws every dimension at
+    // least once with a non-empty campaign.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Sharding is invisible: any shard count, any merge order, with every
     /// partial pushed through the render/parse codec, reproduces the
@@ -43,13 +55,9 @@ proptest! {
         shards in 1usize..=8,
         seed in 1u64..=500,
         shuffle_seed in any::<u64>(),
-        buffer_depths in any::<bool>(),
+        dimension in 0usize..DIMENSIONS.len(),
     ) {
-        let campaign = if buffer_depths {
-            Campaign::buffer_sweep(seed, scenarios)
-        } else {
-            Campaign::new(seed, scenarios)
-        };
+        let campaign = DIMENSIONS[dimension](seed, scenarios);
         let reference = campaign.run(2).unwrap();
 
         // Compute every shard's partial and round-trip it through the

@@ -27,7 +27,7 @@
 //!
 //! The refinement walks the route's buffer chain *backwards from the
 //! destination*, maintaining the cumulative buffer capacity `cap(h)` strictly
-//! downstream of each hop `h` ([`BufferConfig::hop_depth`] over the
+//! downstream of each hop `h` ([`BufferConfig::hop_depth`](crate::buffers::BufferConfig::hop_depth) over the
 //! heterogeneous configuration — exactly the per-port depths of PR 4).  Each
 //! hop's per-message *service* is
 //!

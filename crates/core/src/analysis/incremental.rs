@@ -6,7 +6,7 @@
 //! change one buffer depth, reassign VCs — and re-reads the bounds of every
 //! flow.  [`IncrementalAnalysis`] keeps one model instance per analysis alive
 //! across mutations and caches, per flow, the expensive route-dependent terms
-//! each analysis needs ([`FlowTerms`]); every exported bound is then composed
+//! each analysis needs (`FlowTerms`); every exported bound is then composed
 //! from the cached terms with the *same arithmetic* (same operations, same
 //! order, same saturation) the from-scratch oracles use, which is what makes
 //! the bounds bit-identical — the differential proptest

@@ -6,8 +6,6 @@
 //! weighted model; the table reports the maximum, mean and minimum across all
 //! flows for each mesh size.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::regular::RegularWcttModel;
 use crate::analysis::weighted::WeightedWcttModel;
 use crate::config::RouterTiming;
@@ -18,7 +16,7 @@ use crate::topology::Mesh;
 use crate::weights::WeightTable;
 
 /// Max / mean / min of a per-flow WCTT distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WcttSummary {
     /// Worst (largest) per-flow WCTT.
     pub max: u64,
@@ -44,7 +42,7 @@ impl WcttSummary {
 }
 
 /// One row of Table II: a mesh size with the regular and WaW + WaP summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WcttTableRow {
     /// Mesh dimensions of this row.
     pub dims: MeshDims,
@@ -55,13 +53,13 @@ pub struct WcttTableRow {
 }
 
 /// The complete WCTT table over a set of mesh sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WcttTable {
     rows: Vec<WcttTableRow>,
 }
 
 /// Communication scenario the table is computed for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowScenario {
     /// Every node sends to the node at the given coordinate (the paper's
     /// memory-controller scenario, `R(0,0)` in Section IV).

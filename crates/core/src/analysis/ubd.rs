@@ -1,14 +1,12 @@
 //! Upper Bound Delays (UBD) for the WCET computation mode.
 //!
-//! Following the paper's reference [17] (Paolieri et al.), WCET estimates are
+//! Following the paper's reference \[17\] (Paolieri et al.), WCET estimates are
 //! obtained by running the application in a *WCET computation mode* in which
 //! every request sent to the NoC is artificially delayed by an upper bound to
 //! its traversal time.  The UBD of a core is therefore the analytical WCTT of
 //! its request message to the memory controller plus the WCTT of the response
 //! message coming back, each computed with the model matching the NoC design
 //! (chained blocking for the regular mesh, weighted rounds for WaW + WaP).
-
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::regular::RegularWcttModel;
 use crate::analysis::weighted::WeightedWcttModel;
@@ -26,7 +24,7 @@ use crate::weights::WeightTable;
 /// The paper's platform uses one-flit load requests with four-flit cache-line
 /// responses, and four-flit eviction (write-back) requests with one-flit
 /// acknowledgements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransactionSizes {
     /// Request message size (core to memory), in flits.
     pub request_flits: u32,
@@ -49,7 +47,7 @@ impl TransactionSizes {
 }
 
 /// The upper bound delays of one core's memory transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpperBoundDelay {
     /// Bound on the request traversal (core to memory), in cycles.
     pub request: u64,

@@ -26,12 +26,10 @@
 //! equal to the quota ratios, which is the property the WCTT analysis relies
 //! on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::port::Port;
 
 /// Which arbitration policy the routers use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArbitrationPolicy {
     /// Plain round robin among requesting input ports (the baseline wNoC).
     #[default]
@@ -95,7 +93,7 @@ impl Arbiter {
 
 /// Conventional round-robin arbiter: grants the first requesting port found in
 /// cyclic order after the previously granted one.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RoundRobinArbiter {
     last: usize,
 }
@@ -130,7 +128,7 @@ impl RoundRobinArbiter {
 }
 
 /// WCTT-aware weighted round-robin arbiter for a single output port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WawArbiter {
     /// Quota (weight) per input port index; zero for ports with no flows toward
     /// this output.

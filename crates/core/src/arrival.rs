@@ -15,8 +15,6 @@
 //! (`wnoc_sim::arrival`) turns a curve into concrete, seeded arrival cycles,
 //! including the coefficient-of-variation jitter sampling.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-flow `(burst, rate)` arrival contract with optional jitter.
 ///
 /// All parameters are integers so the curve can be hashed, compared and
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 ///   *delayed* by up to `gap · cv / 100` cycles (delay-only jitter keeps the
 ///   cumulative envelope intact, see [`ArrivalCurve::jitter_allowance`]);
 /// * `phase` — cycles before the first arrival (offsets the whole schedule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrivalCurve {
     /// Messages released back to back at the start (`b`).
     pub burst: u32,

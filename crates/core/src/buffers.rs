@@ -21,15 +21,13 @@
 //! (`wnoc-sim` sizes every ring and counter through it, and asserts the
 //! invariant at construction).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::geometry::NodeId;
 use crate::port::Port;
 use crate::topology::Mesh;
 
 /// Input-buffer depths for every router of a mesh, in flits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BufferConfig {
     /// Every input buffer of every router holds `depth` flits.
     Uniform {

@@ -6,14 +6,12 @@
 //! packet size `L`) and [`NocConfig::waw_wap`] (the proposed design: WaW
 //! weighted arbitration plus WaP single-flit packetization).
 
-use serde::{Deserialize, Serialize};
-
 use crate::arbitration::ArbitrationPolicy;
 use crate::error::{Error, Result};
 use crate::packetization::{PacketizationPolicy, PhitGeometry};
 
 /// Fixed per-hop timing of the router pipeline and links, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterTiming {
     /// Cycles a flit spends inside a router when it meets no contention
     /// (route computation + switch allocation + switch traversal).
@@ -79,7 +77,7 @@ impl Default for RouterTiming {
 /// assert!(!baseline.is_waw_wap());
 /// assert!(proposed.is_waw_wap());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Output-port arbitration policy.
     pub arbitration: ArbitrationPolicy,

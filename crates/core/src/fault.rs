@@ -33,8 +33,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::flow::{Flow, FlowId, FlowSet};
 use crate::geometry::Coord;
@@ -54,7 +52,7 @@ fn dir_index(dir: Direction) -> usize {
 }
 
 /// What fails: one directed link or one whole router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
     /// The unidirectional link leaving `from` in direction `direction` stops
     /// transporting flits.  The opposite direction of the same physical
@@ -83,7 +81,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// One scheduled permanent failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fault {
     /// What fails.
     pub kind: FaultKind,
@@ -99,7 +97,7 @@ pub struct Fault {
 /// cycle-accurate simulator (which applies each fault at its activation
 /// cycle) or by the analytical side (which typically asks for the
 /// [`FaultPlan::final_set`] to bound the fully degraded steady state).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
 }
@@ -639,7 +637,7 @@ pub fn reroute_flows(flows: &FlowSet, tree: &TreeRouting) -> Result<Reroute> {
 /// re-wedging a freshly degraded network.  A message NACKed more than
 /// `max_retries` times is dropped and counted as undeliverable (with
 /// permanent faults this only happens to pairs the fault set severed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     /// Base reinjection delay in cycles (first retry).
     pub timeout: u64,

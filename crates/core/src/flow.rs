@@ -11,8 +11,6 @@
 //! (assumption (1) in Section II.A: *every node is able to send and receive
 //! packets to/from any other node*).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::geometry::{Coord, NodeId};
 use crate::port::{Direction, Port};
@@ -20,9 +18,7 @@ use crate::routing::{Route, RoutingAlgorithm, XyRouting};
 use crate::topology::Mesh;
 
 /// Identifier of a flow within a [`FlowSet`] (dense index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FlowId(pub usize);
 
 impl FlowId {
@@ -39,7 +35,7 @@ impl std::fmt::Display for FlowId {
 }
 
 /// A communication flow: all packets sent from `src` to `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flow {
     /// Source node.
     pub src: NodeId,
@@ -75,7 +71,7 @@ impl Flow {
 /// assert_eq!(flows.len(), 63);
 /// # Ok::<(), wnoc_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSet {
     mesh: Mesh,
     flows: Vec<Flow>,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Dimensions of a 2D mesh: `width` columns (the paper's `N`) by `height` rows
@@ -23,7 +21,7 @@ use crate::error::{Error, Result};
 /// let dims = MeshDims::new(8, 8).unwrap();
 /// assert_eq!(dims.node_count(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeshDims {
     width: u16,
     height: u16,
@@ -138,7 +136,7 @@ impl fmt::Display for MeshDims {
 /// let c = Coord::from_row_col(1, 2);
 /// assert_eq!((c.x, c.y), (2, 1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index (horizontal position, the paper's `x`).
     pub x: u16,
@@ -191,9 +189,7 @@ impl From<(u16, u16)> for Coord {
 /// Dense, zero-based identifier of a node (core + router + NIC) in the mesh.
 ///
 /// Node ids are assigned in row-major order: `id = row * width + col`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

@@ -12,14 +12,12 @@
 //! quota registers and credit counters WaW requires and how many bits they
 //! occupy, next to the state a plain round-robin arbiter already needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Coord;
 use crate::port::Port;
 use crate::weights::WeightTable;
 
 /// State added by WaW to a single router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterOverhead {
     /// Router coordinate.
     pub router: Coord,
@@ -53,7 +51,7 @@ impl RouterOverhead {
 }
 
 /// Mesh-wide overhead summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshOverhead {
     /// Per-router breakdown (row-major order).
     pub routers: Vec<RouterOverhead>,

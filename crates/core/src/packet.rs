@@ -6,8 +6,6 @@
 //! fashion, the header flit reserving the path hop by hop and the tail flit
 //! releasing it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::flow::FlowId;
 use crate::geometry::NodeId;
@@ -16,9 +14,7 @@ use crate::geometry::NodeId;
 pub type Cycle = u64;
 
 /// Globally unique packet identifier (assigned by the injecting NIC).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PacketId(pub u64);
 
 impl std::fmt::Display for PacketId {
@@ -30,9 +26,7 @@ impl std::fmt::Display for PacketId {
 /// Globally unique message identifier.  A message is the unit of work handed to
 /// the NIC (a memory request, a cache-line response, ...); under WaP a single
 /// message becomes several single-flit packets.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MessageId(pub u64);
 
 impl std::fmt::Display for MessageId {
@@ -42,7 +36,7 @@ impl std::fmt::Display for MessageId {
 }
 
 /// The kind of flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// Header flit: carries routing information and reserves the path.
     Head,
@@ -72,7 +66,7 @@ impl FlitKind {
 ///
 /// Flits are deliberately small and `Copy`: the cycle-accurate simulator moves
 /// millions of them around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketId,
@@ -96,7 +90,7 @@ pub struct Flit {
 }
 
 /// A packet: a header plus a payload of flits, produced by the packetizer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Unique packet id.
     pub id: PacketId,

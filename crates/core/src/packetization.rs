@@ -14,15 +14,13 @@
 //! in 4 flits of a 132-bit link (512 payload + 16 control bits) becomes 5
 //! single-flit packets (512 + 5·16 bits), a 25% overhead.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::flow::FlowId;
 use crate::geometry::NodeId;
 use crate::packet::{MessageId, Packet, PacketId};
 
 /// Link and header geometry used to convert message payload bits into flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhitGeometry {
     /// Width of a link / flit in bits (the paper uses 132-bit links).
     pub link_width_bits: u32,
@@ -85,7 +83,7 @@ impl Default for PhitGeometry {
 }
 
 /// The packetization policy applied by the network interfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketizationPolicy {
     /// Regular packetization: one packet per message, up to `max_packet_flits`
     /// flits long (longer messages are split into maximum-size packets).
@@ -195,7 +193,7 @@ impl Default for PacketizationPolicy {
 /// occupies under regular packetization, header included) so workloads can be
 /// described independently of the packetization policy; see
 /// [`Packetizer::packetize`] for how WaP inflates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageDescriptor {
     /// Message id (unique per NIC).
     pub id: MessageId,
@@ -213,7 +211,7 @@ pub struct MessageDescriptor {
 }
 
 /// Splits messages into packets according to a [`PacketizationPolicy`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Packetizer {
     policy: PacketizationPolicy,
     geometry: PhitGeometry,

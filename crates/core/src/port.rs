@@ -23,12 +23,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Coord;
 
 /// One of the four mesh directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// Towards smaller row indices (the paper's `Y-`).
     North,
@@ -115,7 +113,7 @@ impl fmt::Display for Direction {
 }
 
 /// A router port: one of the four mesh ports or the local (`PME`) port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Port {
     /// The port facing the given neighbour.
     Mesh(Direction),

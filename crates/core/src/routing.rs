@@ -7,8 +7,6 @@
 //! the WaW arbitration weights to be computed statically (Section III of the
 //! paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::geometry::Coord;
 use crate::port::{Direction, Port};
@@ -16,7 +14,7 @@ use crate::topology::Mesh;
 
 /// One hop of a route: the router being traversed, the input port through which
 /// the packet's header enters it, and the output port through which it leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Hop {
     /// Router being traversed.
     pub router: Coord,
@@ -42,7 +40,7 @@ pub struct Hop {
 /// assert_eq!(route.hops().len(), 7);       // traverses 7 routers
 /// # Ok::<(), wnoc_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     src: Coord,
     dst: Coord,
@@ -150,7 +148,7 @@ pub trait RoutingAlgorithm: Send + Sync {
 }
 
 /// Dimension-ordered XY routing: X (east/west) first, then Y (north/south).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XyRouting;
 
 impl XyRouting {

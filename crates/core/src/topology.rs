@@ -1,7 +1,5 @@
 //! The 2D-mesh topology: routers, links and neighbourhood queries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::geometry::{Coord, MeshDims, NodeId};
 use crate::port::{Direction, Port};
@@ -24,13 +22,13 @@ use crate::port::{Direction, Port};
 /// assert_eq!(mesh.link_count(), 2 * 2 * 4 * 3); // bidirectional links
 /// # Ok::<(), wnoc_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     dims: MeshDims,
 }
 
 /// A unidirectional link between two adjacent routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Coordinate of the upstream (sending) router.
     pub from: Coord,

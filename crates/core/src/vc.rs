@@ -21,8 +21,6 @@
 //! deadlock-free per VC and makes the per-flow priority a property the
 //! WCTT analysis can consume directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::flow::FlowId;
 use crate::geometry::Coord;
@@ -35,7 +33,7 @@ pub const MAX_VCS: usize = 4;
 /// Both rules are total functions of data available wherever a flow is first
 /// seen (its id and endpoints), so dynamically registered flows get the same
 /// VC the analysis predicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcAssignment {
     /// `vc = flow index mod count` — spreads flows round-robin over priority
     /// classes independent of geometry.
@@ -57,7 +55,7 @@ impl VcAssignment {
 
 /// Virtual-channel configuration of every router in the mesh: how many VCs
 /// each input port carries and how flows are assigned to them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VcConfig {
     count: u32,
     assignment: VcAssignment,

@@ -41,8 +41,6 @@
 //! bound reads `O` at every hop of every route, so a read is one bounds
 //! check and one load rather than a hash; an unused port simply holds 0.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::{paper_input_source_count, paper_output_source_count, FlowSet};
 use crate::geometry::Coord;
 use crate::port::Port;
@@ -71,7 +69,7 @@ use crate::topology::Mesh;
 /// assert!((w_north - 2.0 / 3.0).abs() < 1e-9);
 /// # Ok::<(), wnoc_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightTable {
     mesh: Mesh,
     /// Flows leaving through each `(router, output)` port, indexed by column

@@ -1,15 +1,13 @@
 //! The in-order core model: executes a memory-access trace, stalling on every
 //! memory transaction until its response returns.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Cycle, NodeId};
 
 use crate::trace::Trace;
 use crate::transaction::AccessKind;
 
 /// Execution state of a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreState {
     /// Executing instructions locally for the given remaining cycles.
     Computing {
@@ -28,7 +26,7 @@ pub enum CoreState {
 }
 
 /// Statistics accumulated by a core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Cycles spent computing.
     pub compute_cycles: u64,
@@ -41,7 +39,7 @@ pub struct CoreStats {
 }
 
 /// An in-order core executing a [`Trace`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Core {
     node: NodeId,
     trace: Trace,

@@ -3,14 +3,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Cycle, NodeId};
 
 use crate::transaction::{Transaction, TransactionId};
 
 /// A response ready to be sent back over the NoC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyResponse {
     /// The transaction being answered.
     pub transaction: TransactionId,
@@ -22,7 +20,7 @@ pub struct ReadyResponse {
 
 /// A simple memory controller: FIFO request queue, one request in service at a
 /// time, fixed service latency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryController {
     node: NodeId,
     service_cycles: u64,

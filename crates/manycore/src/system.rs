@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::flow::FlowSet;
 use wnoc_core::{Coord, Cycle, Error, Mesh, MessageId, NocConfig, NodeId, Result};
 use wnoc_sim::network::{Delivered, Network};
@@ -23,13 +21,13 @@ use crate::transaction::{Transaction, TransactionId};
 use crate::wcet::WcetEstimator;
 
 /// How the platform charges memory transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Operation mode: every transaction traverses the cycle-accurate NoC and
     /// the memory controller; used for average-performance measurements.
     #[default]
     Operation,
-    /// WCET computation mode (the paper's reference [17]): every transaction is
+    /// WCET computation mode (the paper's reference \[17\]): every transaction is
     /// charged its analytical upper bound delay plus the memory service bound,
     /// regardless of the actual NoC state.  Execution time in this mode is the
     /// WCET estimate.
@@ -37,7 +35,7 @@ pub enum ExecutionMode {
 }
 
 /// Static description of the manycore platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Side of the square mesh (the paper uses 8, i.e. 64 nodes).
     pub mesh_side: u16,

@@ -7,12 +7,10 @@
 //! the paper require: what matters is how many NoC transactions a benchmark
 //! issues and how much computation separates them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::transaction::AccessKind;
 
 /// One step of a core's execution trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Cycles of pure computation before the access.
     pub compute_cycles: u64,
@@ -47,7 +45,7 @@ impl TraceEvent {
 }
 
 /// A complete execution trace of one core/thread.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }

@@ -9,15 +9,11 @@
 //! * **evictions** (dirty line write-backs): a four-flit request answered by a
 //!   one-flit acknowledgement.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::analysis::ubd::TransactionSizes;
 use wnoc_core::{Cycle, NodeId};
 
 /// Identifier of an outstanding transaction, unique per issuing core.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TransactionId(pub u64);
 
 impl std::fmt::Display for TransactionId {
@@ -27,7 +23,7 @@ impl std::fmt::Display for TransactionId {
 }
 
 /// The kind of memory access a core performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Cache-line fill (load miss or write-allocate miss).
     Load,
@@ -54,7 +50,7 @@ impl AccessKind {
 }
 
 /// A memory transaction in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
     /// Unique id (per issuing core).
     pub id: TransactionId,

@@ -1,6 +1,6 @@
 //! WCET estimation — the *WCET computation mode* of the paper.
 //!
-//! Following the paper's reference [17], WCET estimates are obtained by
+//! Following the paper's reference \[17\], WCET estimates are obtained by
 //! charging every NoC request an artificial **upper bound delay** (UBD) derived
 //! from the analytical WCTT model of the NoC design in use, plus a bound on the
 //! memory service time.  For an in-order core that stalls on every memory
@@ -17,8 +17,6 @@
 //! [`parallel_wcet`]).
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use wnoc_core::analysis::ubd::UbdModel;
 use wnoc_core::flow::FlowSet;
@@ -179,7 +177,7 @@ impl WcetEstimator {
 
 /// One barrier-synchronised phase of a parallel application: each participating
 /// thread contributes its own trace, placed on a specific core.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParallelPhase {
     /// The traces of the threads active in this phase, with their placement.
     pub threads: Vec<(Coord, Trace)>,

@@ -2,11 +2,10 @@
 //! used by rustc) for the simulator's hot hash maps.
 //!
 //! `SipHash`, the standard library default, costs more than the rest of the
-//! forwarding path for per-flit bookkeeping such as
-//! [`NetworkStats::record_port_flit`](crate::stats::NetworkStats::record_port_flit).
-//! The simulator's map keys are tiny ((coordinate, port) pairs, node and
-//! message ids) and all inputs are trusted simulation state, so a fast
-//! non-cryptographic hash is the right trade-off.  The hasher is fully
+//! forwarding path for per-flit bookkeeping.  The simulator's map keys are
+//! tiny ((coordinate, port) pairs, node and message ids) and all inputs are
+//! trusted simulation state, so a fast non-cryptographic hash is the right
+//! trade-off.  The hasher is fully
 //! deterministic (no per-process random seed), which also keeps map iteration
 //! order reproducible from run to run — though every consumer that needs an
 //! order still sorts explicitly.

@@ -4,7 +4,7 @@
 //! The router is built for the allocation-free active-set kernel:
 //!
 //! * input buffers hold [`FlitId`] handles into the network's
-//!   [`FlitArena`](crate::arena::FlitArena), never flit values;
+//!   [`FlitArena`], never flit values;
 //! * [`Router::decide`] appends into a caller-provided scratch vector instead
 //!   of returning a fresh `Vec` every cycle;
 //! * routing decisions come from a per-router lookup table precomputed from

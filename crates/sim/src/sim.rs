@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::flow::FlowSet;
 use wnoc_core::{
     Coord, Error, FaultPlan, FlowId, Mesh, NocConfig, NodeId, Result, RetransmitPolicy,
@@ -18,7 +16,7 @@ use crate::stats::{LatencyStats, NetworkStats};
 use crate::traffic::RandomTraffic;
 
 /// Per-flow observed traversal latencies of a saturated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturatedReport {
     /// Cycles simulated after warm-up.
     pub measured_cycles: u64,

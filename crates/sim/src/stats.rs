@@ -3,12 +3,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Cycle, FlowId};
 
 /// Running summary of a latency distribution (count, sum, min, max).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Number of recorded samples.
     pub count: u64,
@@ -101,7 +99,7 @@ impl LatencyStats {
 }
 
 /// Aggregated statistics of one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
     /// Number of simulated cycles.
     pub cycles: Cycle,
@@ -123,29 +121,17 @@ pub struct NetworkStats {
     /// flit) per flow.
     pub traversal_latency: HashMap<FlowId, LatencyStats>,
     /// Messages NACKed by a fault epoch flush and re-queued for
-    /// retransmission.  The fault counters only serialize when non-zero, so
-    /// a fault-free run's serialized stats stay byte-identical to builds
-    /// that predate fault injection.
-    #[serde(default, skip_serializing_if = "is_zero")]
+    /// retransmission.  This and the other fault counters stay zero (and
+    /// the map empty) in a fault-free run.
     pub messages_retransmitted: u64,
     /// Messages dropped as undeliverable: their endpoint pair was severed by
     /// the active fault set, or their retry budget was exhausted.
-    #[serde(default, skip_serializing_if = "is_zero")]
     pub messages_undeliverable: u64,
     /// Flits purged from router rings, link pipelines and NIC queues by
     /// fault epoch flushes.
-    #[serde(default, skip_serializing_if = "is_zero")]
     pub flits_purged: u64,
-    /// Retransmissions per flow (ordered map: deterministic serialization).
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    /// Retransmissions per flow (ordered map: deterministic iteration).
     pub retransmits_by_flow: BTreeMap<FlowId, u64>,
-}
-
-/// `skip_serializing_if` helper for the fault counters (referenced by name
-/// from the `serde` field attributes, which the offline shim ignores).
-#[allow(dead_code)]
-fn is_zero(value: &u64) -> bool {
-    *value == 0
 }
 
 impl NetworkStats {

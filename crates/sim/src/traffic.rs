@@ -3,12 +3,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use wnoc_core::{Coord, Cycle, Error, Mesh, NodeId, Result};
 
 /// A message to be offered to the network at a given cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OfferedTraffic {
     /// Source node.
     pub src: NodeId,
@@ -19,7 +18,7 @@ pub struct OfferedTraffic {
 }
 
 /// Spatial traffic patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficPattern {
     /// Every node sends to a single hotspot (the paper's memory controller at
     /// `R(0,0)`).

@@ -24,7 +24,6 @@ use std::collections::VecDeque;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use wnoc_core::{Error, Result};
 use wnoc_manycore::trace::{Trace, TraceEvent};
@@ -36,7 +35,7 @@ use crate::placement::Placement;
 pub type Cell = (usize, usize, usize);
 
 /// A 3D occupancy grid: `true` cells are obstacles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObstacleGrid {
     dims: (usize, usize, usize),
     obstacles: Vec<bool>,
@@ -156,7 +155,7 @@ impl ObstacleGrid {
 }
 
 /// The result of a planning run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanOutcome {
     /// The shortest path from start to goal (inclusive), if one exists.
     pub path: Option<Vec<Cell>>,
@@ -167,7 +166,7 @@ pub struct PlanOutcome {
 }
 
 /// Parameters converting planner work into memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficModel {
     /// Grid cells that fit in one cache line (determines how many cell visits
     /// trigger one cache-line load).

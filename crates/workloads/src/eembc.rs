@@ -16,13 +16,12 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use wnoc_manycore::trace::{Trace, TraceEvent};
 use wnoc_manycore::transaction::AccessKind;
 
 /// The sixteen EEMBC autobench workloads modelled by this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum EembcBenchmark {
     A2time,
@@ -46,7 +45,7 @@ pub enum EembcBenchmark {
 /// Communication profile of one benchmark: how many memory accesses it
 /// performs, how much computation separates them, how bursty the accesses are
 /// and which fraction of them are dirty-line evictions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkProfile {
     /// Number of memory accesses in the trace.
     pub accesses: u32,

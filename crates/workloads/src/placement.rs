@@ -5,12 +5,10 @@
 //! regular wNoC is highly sensitive to placement (over 6× spread) while
 //! WaW + WaP keeps the spread around 20%.
 
-use serde::{Deserialize, Serialize};
-
 use wnoc_core::{Coord, Error, Mesh, Result};
 
 /// A named assignment of application threads to mesh cores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     name: String,
     cores: Vec<Coord>,

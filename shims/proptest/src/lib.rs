@@ -1,7 +1,7 @@
 //! Offline shim for `proptest`.
 //!
 //! Implements the subset of proptest's API that the `wnoc` property suites
-//! use: the [`Strategy`] trait with `prop_map` / `prop_filter`, integer-range
+//! use: the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter`, integer-range
 //! and tuple strategies, `Just`, `any::<T>()`, `prop_oneof!`,
 //! `prop::collection::vec`, `ProptestConfig::with_cases`, and the
 //! `proptest!` / `prop_assert*` / `prop_assume!` macros.
