@@ -278,6 +278,7 @@ macro_rules! tagged {
 pub(crate) use record;
 pub(crate) use tagged;
 
+/// Integers are decimal; reading one checks its range with `try_from`.
 macro_rules! unsigned {
     ($($int:ty),*) => {$(
         impl Codec for $int {

@@ -1,9 +1,9 @@
 //! Offline shim for `serde`.
 //!
-//! Provides exactly the surface the `wnoc` workspace uses — the
-//! `Serialize` / `Deserialize` derive macros — as no-ops, because the build
-//! environment cannot reach a crates registry.  See `shims/README.md` for the
-//! swap-back instructions.
+//! Provides the `Serialize` / `Deserialize` derive macros as no-ops, because
+//! the build environment cannot reach a crates registry.  No source file
+//! uses them any more; the crate manifests still list `serde` until those
+//! entries are dropped (see `shims/README.md`).
 
 #![forbid(unsafe_code)]
 

@@ -1,11 +1,10 @@
 //! Offline shim for `serde_derive`.
 //!
 //! The build environment has no access to a crates registry, so the workspace
-//! vendors the tiny API subset it actually uses (see `shims/README.md`).  The
-//! source tree only ever *derives* `Serialize` / `Deserialize` — nothing calls
-//! a serializer — so the derives expand to nothing.  Swapping the `serde`
-//! entry in `[workspace.dependencies]` back to the crates.io release restores
-//! real serialization without touching any other file.
+//! vendors the tiny API subset it once used (see `shims/README.md`).  The
+//! derives expand to nothing, and no source file uses them any more: the
+//! crate manifests still list `serde`, so the shim stays until those entries
+//! are dropped.
 
 use proc_macro::TokenStream;
 
