@@ -1226,7 +1226,7 @@ impl Network {
                     debug_assert_ne!(upstream, NONE, "mesh input implies a neighbour");
                     self.routers[upstream as usize].credit_return(Port::Mesh(dir.opposite()), 0);
                 }
-                let popped = self.routers[cur].ff_pop(holder.input);
+                let popped = self.routers[cur].ff_pop(&self.arena, holder.input);
                 debug_assert_eq!(popped, holder.flit, "verified front flit");
             }
             if m == 0 {
