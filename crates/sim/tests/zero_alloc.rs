@@ -2,8 +2,9 @@
 //! [`Network::step`] must perform **zero heap allocations**.
 //!
 //! A counting global allocator wraps the system allocator; the test drives
-//! identical traffic waves through a 6×6 WaW+WaP mesh and counts allocator
-//! hits during the second wave's drain loop.  Offering messages is allowed to
+//! identical traffic waves through a 6×6 WaW+WaP mesh, and then through a
+//! 6×6 round-robin mesh with three virtual channels, and counts allocator
+//! hits during each second wave's drain loop.  Offering messages is allowed to
 //! allocate (the packetizer builds packet descriptors, the arena slab grows
 //! towards its high-water mark); *stepping* is not — every queue is a
 //! preallocated ring, router decisions go through reusable scratch buffers,
@@ -13,7 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use wnoc_core::flow::FlowSet;
-use wnoc_core::{Coord, Mesh, NocConfig};
+use wnoc_core::vc::{VcAssignment, VcConfig};
+use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig};
 use wnoc_sim::network::Network;
 
 /// Counts allocator hits (alloc/realloc) while armed.
@@ -54,6 +56,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Runs `f` with the counter armed and returns its result together with
+/// the number of allocations it made.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let result = f();
+    ARMED.store(false, Ordering::SeqCst);
+    (result, ALLOCATIONS.load(Ordering::SeqCst))
+}
+
 /// Offers one identical wave of hotspot traffic: four 4-flit messages per
 /// flow, every flow of the all-to-one set.
 fn offer_wave(noc: &mut Network, flows: &FlowSet) {
@@ -71,13 +83,10 @@ fn steady_state_stepping_does_not_allocate() {
     // them would race under libtest's parallel execution.  An intentional
     // allocation while armed must be counted, otherwise a broken counter
     // would vacuously pass the zero-allocation assertion below.
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let probe: Vec<u64> = Vec::with_capacity(32);
-    ARMED.store(false, Ordering::SeqCst);
+    let (probe, allocations) = counted(|| Vec::<u64>::with_capacity(32));
     drop(probe);
     assert!(
-        ALLOCATIONS.load(Ordering::SeqCst) > 0,
+        allocations > 0,
         "counting allocator failed to observe an ordinary allocation"
     );
 
@@ -104,13 +113,8 @@ fn steady_state_stepping_does_not_allocate() {
         "arena slab regrew on an identical wave"
     );
 
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let drained = noc.run_until_drained(1_000_000);
-    ARMED.store(false, Ordering::SeqCst);
-
+    let (drained, allocations) = counted(|| noc.run_until_drained(1_000_000));
     assert!(drained, "steady-state wave must drain");
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         allocations, 0,
         "Network::step allocated {allocations} times after warm-up"
@@ -136,13 +140,8 @@ fn steady_state_stepping_does_not_allocate() {
     let dst = mesh.node_id(hotspot).unwrap();
     noc.offer(corner, dst, 4).unwrap();
 
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let drained = noc.run_until_drained(100_000);
-    ARMED.store(false, Ordering::SeqCst);
-
+    let (drained, allocations) = counted(|| noc.run_until_drained(100_000));
     assert!(drained, "sparse worm must drain");
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         allocations, 0,
         "horizon scheduling allocated {allocations} times on the sparse phase"
@@ -153,5 +152,31 @@ fn steady_state_stepping_does_not_allocate() {
     );
     noc.drain_delivered_into(&mut sink);
     assert_eq!(sink.len(), 2 * 4 * flows.len() + 1);
+    assert!(noc.arena().is_empty());
+
+    // Multi-VC round-robin phase: the stepping loop the VC sweep runs —
+    // per-`(input, VC)` rings, strict VC priority, no worm fast-forward.
+    // A warm-up wave grows this network's footprint; an identical second
+    // wave must then step without allocating.
+    let config = NocConfig::regular(4);
+    let buffers = BufferConfig::uniform(config.input_buffer_flits);
+    let vcs = VcConfig::new(3, VcAssignment::Distance).unwrap();
+    let mut noc = Network::with_vcs(mesh, config, &flows, &buffers, vcs).unwrap();
+    let mut sink = Vec::new();
+    offer_wave(&mut noc, &flows);
+    assert!(
+        noc.run_until_drained(1_000_000),
+        "multi-VC warm-up wave must drain"
+    );
+    noc.drain_delivered_into(&mut sink);
+    offer_wave(&mut noc, &flows);
+    let (drained, allocations) = counted(|| noc.run_until_drained(1_000_000));
+    assert!(drained, "multi-VC steady-state wave must drain");
+    assert_eq!(
+        allocations, 0,
+        "multi-VC round-robin stepping allocated {allocations} times after warm-up"
+    );
+    noc.drain_delivered_into(&mut sink);
+    assert_eq!(sink.len(), 2 * 4 * flows.len());
     assert!(noc.arena().is_empty());
 }
