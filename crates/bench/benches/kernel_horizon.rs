@@ -4,8 +4,9 @@
 //! * **dense traffic** — a saturated 8×8 hotspot, where something moves at
 //!   every router every cycle, so the horizon is `now + 1` essentially
 //!   always and the event-horizon machinery can only add overhead.  The
-//!   horizon kernel must stay within a few percent of the dense reference
-//!   here (the PR gate is 5% against `main`).
+//!   horizon kernel should stay within a few percent of the dense reference
+//!   here; no gate enforces it (CI only smoke-runs this bench), so compare
+//!   the two lines by hand when touching the scheduler.
 //! * **sparse closed-loop probing** — a single flow crossing a 12×12 mesh
 //!   with one outstanding message, where almost every cycle is inert for
 //!   almost every component: blocked-router skipping, horizon jumps and the

@@ -1,13 +1,15 @@
 //! Criterion bench: raw throughput of the cycle-accurate simulator substrate —
-//! cycles per second of an 8×8 network under hotspot load, and the average
-//! performance experiment on the 4×4 platform.
+//! cycles per second of an 8×8 network under hotspot load (single-VC
+//! round robin and WaW, and round robin over three virtual channels), and
+//! the average performance experiment on the 4×4 platform.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use wnoc_bench::avg_perf::{run, AvgPerfParams};
 use wnoc_core::flow::FlowSet;
-use wnoc_core::{Coord, Mesh, NocConfig};
+use wnoc_core::vc::{VcAssignment, VcConfig};
+use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig};
 use wnoc_sim::network::Network;
 
 fn bench_network_step(c: &mut Criterion) {
@@ -15,17 +17,21 @@ fn bench_network_step(c: &mut Criterion) {
     let cycles_per_iter = 1_000u64;
     group.throughput(Throughput::Elements(cycles_per_iter));
     group.sample_size(20);
-    for (label, config) in [
-        ("regular", NocConfig::regular(4)),
-        ("waw_wap", NocConfig::waw_wap()),
+    let three_vcs = VcConfig::new(3, VcAssignment::Distance).unwrap();
+    for (label, config, vcs) in [
+        ("regular", NocConfig::regular(4), VcConfig::single()),
+        ("waw_wap", NocConfig::waw_wap(), VcConfig::single()),
+        ("regular_3vc", NocConfig::regular(4), three_vcs),
     ] {
         group.bench_function(label, |b| {
             let mesh = Mesh::square(8).unwrap();
             let hotspot = Coord::from_row_col(0, 0);
             let flows = FlowSet::all_to_one(&mesh, hotspot).unwrap();
+            let buffers = BufferConfig::uniform(config.input_buffer_flits);
             b.iter_batched(
                 || {
-                    let mut network = Network::new(mesh, config, &flows).unwrap();
+                    let mut network =
+                        Network::with_vcs(mesh, config, &flows, &buffers, vcs).unwrap();
                     // Pre-load traffic so every step has work to do.
                     let dst = mesh.node_id(hotspot).unwrap();
                     for flow in flows.flows() {
