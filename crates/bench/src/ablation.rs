@@ -9,7 +9,7 @@
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{Coord, Mesh, Result, RouterTiming};
+use wnoc_core::{Coord, Mesh, PacketizationPolicy, PhitGeometry, Result, RouterTiming};
 
 /// WCTT summary of one design point of the ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +71,10 @@ impl Ablation {
         // Full proposal: weighted arbitration + single-flit slices.
         let full = WeightedWcttModel::new(weights, timing, 1);
 
+        // Under WaP the message is sliced into single-flit packets that each
+        // replicate the control information (a cache line becomes 5).
+        let slices = PacketizationPolicy::wap().split(message_flits, PhitGeometry::PAPER);
+
         let mut baseline_values = Vec::new();
         let mut wap_values = Vec::new();
         let mut waw_values = Vec::new();
@@ -78,12 +82,9 @@ impl Ablation {
         for (id, _flow) in flows.iter() {
             let route = flows.route(id).expect("route exists");
             baseline_values.push(baseline.route_wctt(route, message_flits));
-            // Under WaP the message is sliced into single-flit packets (one
-            // extra slice for the replicated control information).
-            let slices = message_flits + u32::from(message_flits > 1);
-            wap_values.push(wap_only.message_wctt(route, &vec![1; slices as usize]));
+            wap_values.push(wap_only.message_wctt(route, slices));
             waw_values.push(waw_only.message_wctt(route, 1));
-            full_values.push(full.message_wctt(route, slices));
+            full_values.push(full.message_wctt(route, slices.packets));
         }
 
         Ok(Self {

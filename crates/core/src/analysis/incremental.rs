@@ -607,31 +607,18 @@ impl IncrementalAnalysis {
                     .packetization
                     .worst_case_contender_flits()
                     .max(1);
-                let packets = PacketizationPolicy::Regular { max_packet_flits }
-                    .split_message(message_flits, geometry);
+                let split = PacketizationPolicy::Regular { max_packet_flits }
+                    .split(message_flits, geometry);
                 let terms = self.ensure_terms(id.0)?;
-                Some(
-                    packets
-                        .iter()
-                        .map(|&s| regular_packet(terms.regular_base, s))
-                        .fold(0u64, u64::saturating_add),
-                )
+                Some(split.sum(|flits| regular_packet(terms.regular_base, flits)))
             }
             Analysis::Ubd => {
-                let packets = self
-                    .config
-                    .packetization
-                    .split_message(message_flits, geometry);
+                let split = self.config.packetization.split(message_flits, geometry);
                 match self.config.arbitration {
                     ArbitrationPolicy::RoundRobin => {
                         self.regular.as_ref()?;
                         let terms = self.ensure_terms(id.0)?;
-                        Some(
-                            packets
-                                .iter()
-                                .map(|&s| regular_packet(terms.regular_base, s))
-                                .fold(0u64, u64::saturating_add),
-                        )
+                        Some(split.sum(|flits| regular_packet(terms.regular_base, flits)))
                     }
                     ArbitrationPolicy::Waw => {
                         let slice = self.slice_flits();
@@ -640,7 +627,7 @@ impl IncrementalAnalysis {
                             terms.paper_packet,
                             terms.bottleneck,
                             slice,
-                            packets.len() as u32,
+                            split.packets,
                         ))
                     }
                 }
@@ -653,35 +640,27 @@ impl IncrementalAnalysis {
                         .packetization
                         .worst_case_contender_flits()
                         .max(1);
-                    let packets = PacketizationPolicy::Regular { max_packet_flits }
-                        .split_message(message_flits, geometry);
+                    let split = PacketizationPolicy::Regular { max_packet_flits }
+                        .split(message_flits, geometry);
                     let factor = self.depth_factor;
                     let terms = self.ensure_terms(id.0)?;
-                    let mut total = 0u64;
-                    for &size in &packets {
-                        total = total.saturating_add(preemptive_packet(
-                            terms.regular_base,
-                            factor,
-                            size,
-                        ));
-                    }
-                    if packets.len() > 1 {
-                        let round = preemptive_packet(terms.regular_base, factor, max_packet_flits);
-                        total =
-                            total.saturating_add((packets.len() as u64 - 1).saturating_mul(round));
-                    }
+                    let packet = |flits| preemptive_packet(terms.regular_base, factor, flits);
+                    // Σ per packet, plus one full round per inter-packet gap.
+                    let gaps = u64::from(split.packets.saturating_sub(1));
+                    let total = split
+                        .sum(packet)
+                        .saturating_add(gaps.saturating_mul(packet(max_packet_flits)));
                     Some(total.min(SATURATION_SENTINEL))
                 } else {
                     self.ensure_preemptive().message_bound(id, message_flits)
                 }
             }
             Analysis::Slot => {
-                let wire: u32 = self
+                let wire = self
                     .config
                     .packetization
-                    .split_message(message_flits, geometry)
-                    .iter()
-                    .sum();
+                    .split(message_flits, geometry)
+                    .wire_flits();
                 let contender_flits = self.config.packetization.worst_case_contender_flits();
                 let terms = self.ensure_terms(id.0)?;
                 Some(slot_envelope(terms.slot_contenders, contender_flits, wire))

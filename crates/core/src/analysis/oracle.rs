@@ -57,7 +57,7 @@ use crate::buffers::BufferConfig;
 use crate::config::NocConfig;
 use crate::error::{Error, Result};
 use crate::flow::{FlowId, FlowSet};
-use crate::packetization::PacketizationPolicy;
+use crate::packetization::{PacketizationPolicy, Split};
 use crate::routing::Route;
 use crate::topology::Mesh;
 use crate::vc::VcConfig;
@@ -108,8 +108,8 @@ pub trait WcttBoundModel: std::fmt::Debug + Send {
 pub(crate) fn slices(config: &NocConfig, message_flits: u32) -> u32 {
     config
         .packetization
-        .split_message(message_flits, config.geometry)
-        .len() as u32
+        .split(message_flits, config.geometry)
+        .packets
 }
 
 /// [`WcttBoundModel`] over the chained-blocking analysis of the regular
@@ -134,11 +134,11 @@ impl RegularOracle {
         }
     }
 
-    fn split(&self, message_flits: u32) -> Vec<u32> {
+    fn split(&self, message_flits: u32) -> Split {
         PacketizationPolicy::Regular {
             max_packet_flits: self.max_packet_flits,
         }
-        .split_message(message_flits, self.geometry)
+        .split(message_flits, self.geometry)
     }
 }
 
@@ -162,10 +162,10 @@ impl WcttBoundModel for RegularOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let packets = self.split(message_flits);
+        let split = self.split(message_flits);
         let Self { model, flows, .. } = self;
         let route = flows.route(id)?;
-        Some(model.message_wctt(route, &packets))
+        Some(model.message_wctt(route, split))
     }
 }
 
@@ -544,11 +544,10 @@ impl SlotOracle {
 
     fn wire_flits(&self, message_flits: u32) -> u32 {
         // Total wire flits across the message's packets, under the same
-        // splitter the UBD composition and the other oracles use.
+        // split the UBD composition and the other oracles use.
         self.packetization
-            .split_message(message_flits, self.geometry)
-            .iter()
-            .sum()
+            .split(message_flits, self.geometry)
+            .wire_flits()
     }
 }
 

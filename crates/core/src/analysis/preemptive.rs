@@ -355,21 +355,26 @@ impl crate::analysis::oracle::WcttBoundModel for PreemptiveOracle {
     }
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
-        let packets = PacketizationPolicy::Regular {
+        let split = PacketizationPolicy::Regular {
             max_packet_flits: self.max_packet_flits,
         }
-        .split_message(message_flits, self.geometry);
-        let mut total = 0u64;
-        for &size in &packets {
-            total = total.saturating_add(self.packet_wctt(id, size)?);
+        .split(message_flits, self.geometry);
+        if split.packets == 0 {
+            return Some(0);
         }
+        let mut total = self.packet_wctt(id, split.last)?;
         // Every inter-packet gap re-opens a full blocking round for
         // cross-traffic that queued up in downstream FIFOs between the
         // packets of the train — the repair of the composition campaigns
         // proved unsound (observed ≤ 1.15 · Σ; this charges ≈ 2 · Σ).
-        if packets.len() > 1 {
+        if split.packets > 1 {
+            let gaps = u64::from(split.packets - 1);
+            let packet = self.packet_wctt(id, split.size)?;
             let round = self.packet_wctt(id, self.max_packet_flits)?;
-            total = total.saturating_add((packets.len() as u64 - 1).saturating_mul(round));
+            total = gaps
+                .saturating_mul(packet)
+                .saturating_add(total)
+                .saturating_add(gaps.saturating_mul(round));
         }
         Some(total.min(SATURATION_SENTINEL))
     }
@@ -429,7 +434,7 @@ mod tests {
         let id = FlowId(0);
         let route = flows.route(id).unwrap().clone();
         // Two maximum packets: Σ per-packet plus one full extra round.
-        let naive = regular.message_wctt(&route, &[4, 4]);
+        let naive = regular.message_wctt(&route, config.packetization.split(8, config.geometry));
         let repaired = model.message_bound(id, 8).unwrap();
         assert_eq!(repaired, naive + regular.route_wctt(&route, 4));
         // Comfortably above the 15% exceedance campaigns observed.

@@ -42,6 +42,7 @@
 use crate::config::RouterTiming;
 use crate::flow::FlowSet;
 use crate::geometry::Coord;
+use crate::packetization::Split;
 use crate::port::{Direction, Port};
 use crate::routing::Route;
 use crate::topology::Mesh;
@@ -330,19 +331,18 @@ impl RegularWcttModel {
             .saturating_add(u64::from(own_flits.saturating_sub(1)))
     }
 
-    /// Conservative WCTT bound for a message split into several packets: each
-    /// packet is assumed to suffer the full per-packet bound back to back.
-    pub fn message_wctt(&mut self, route: &Route, packet_flit_sizes: &[u32]) -> u64 {
-        packet_flit_sizes
-            .iter()
-            .map(|&s| self.route_wctt(route, s))
-            .fold(0u64, u64::saturating_add)
+    /// Conservative WCTT bound for a message cut into the packets of `split`:
+    /// each packet is assumed to suffer the full per-packet bound back to
+    /// back.
+    pub fn message_wctt(&mut self, route: &Route, split: Split) -> u64 {
+        split.sum(|flits| self.route_wctt(route, flits))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packetization::{PacketizationPolicy, PhitGeometry};
     use crate::port::Direction;
     use crate::routing::{RoutingAlgorithm, XyRouting};
 
@@ -504,7 +504,8 @@ mod tests {
         let r = route(&mesh, (2, 2), (0, 0));
         let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
         let single = model.route_wctt(&r, 4);
-        let double = model.message_wctt(&r, &[4, 4]);
+        let eight = PacketizationPolicy::regular_l4().split(8, PhitGeometry::PAPER);
+        let double = model.message_wctt(&r, eight);
         assert_eq!(double, 2 * single);
     }
 

@@ -15,6 +15,7 @@ use crate::config::NocConfig;
 use crate::error::{Error, Result};
 use crate::flow::FlowSet;
 use crate::geometry::Coord;
+use crate::packetization::Split;
 use crate::routing::{Route, RoutingAlgorithm, XyRouting};
 use crate::topology::Mesh;
 use crate::weights::WeightTable;
@@ -135,12 +136,12 @@ impl UbdModel {
         &self.config
     }
 
-    /// Number of packets an `message_flits`-flit message occupies on the wire
-    /// under the active packetization policy, together with their sizes.
-    fn packets_for(&self, message_flits: u32) -> Vec<u32> {
+    /// The wire packets an `message_flits`-flit message occupies under the
+    /// active packetization policy.
+    fn split(&self, message_flits: u32) -> Split {
         self.config
             .packetization
-            .split_message(message_flits, self.config.geometry)
+            .split(message_flits, self.config.geometry)
     }
 
     /// WCTT bound for one `message_flits`-flit message following `route`: the
@@ -150,10 +151,10 @@ impl UbdModel {
     /// conformance oracle ([`crate::analysis::oracle::UbdOracle`]) can query
     /// per-flow bounds directly.
     pub fn route_message_bound(&mut self, route: &Route, message_flits: u32) -> u64 {
-        let packets = self.packets_for(message_flits);
+        let split = self.split(message_flits);
         match (&mut self.regular, &self.weighted) {
-            (Some(model), _) => model.message_wctt(route, &packets),
-            (None, Some(model)) => model.message_wctt(route, packets.len() as u32),
+            (Some(model), _) => model.message_wctt(route, split),
+            (None, Some(model)) => model.message_wctt(route, split.packets),
             (None, None) => unreachable!("one model is always constructed"),
         }
     }
@@ -231,11 +232,16 @@ mod tests {
         let (_mesh, flows, _memory) = platform(4);
         let model = UbdModel::new(NocConfig::waw_wap(), &flows).unwrap();
         // A 4-flit cache line becomes 5 single-flit slices under WaP.
-        assert_eq!(model.packets_for(4), vec![1, 1, 1, 1, 1]);
-        assert_eq!(model.packets_for(1), vec![1]);
+        let split = |packets, size, last| Split {
+            packets,
+            size,
+            last,
+        };
+        assert_eq!(model.split(4), split(5, 1, 1));
+        assert_eq!(model.split(1), split(1, 1, 1));
         let regular = UbdModel::new(NocConfig::regular(4), &flows).unwrap();
-        assert_eq!(regular.packets_for(4), vec![4]);
-        assert_eq!(regular.packets_for(10), vec![4, 4, 2]);
+        assert_eq!(regular.split(4), split(1, 4, 4));
+        assert_eq!(regular.split(10), split(3, 4, 2));
     }
 
     #[test]

@@ -80,8 +80,8 @@ pub use fault::{Fault, FaultKind, FaultPlan, FaultSet, RetransmitPolicy, TreeRou
 pub use flow::{Flow, FlowId, FlowSet};
 pub use geometry::{Coord, MeshDims, NodeId};
 pub use overhead::{MeshOverhead, RouterOverhead};
-pub use packet::{Cycle, Flit, FlitKind, MessageId, Packet, PacketId};
-pub use packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry};
+pub use packet::{Cycle, Flit, FlitKind, MessageId, PacketId};
+pub use packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry, Split};
 pub use port::{Direction, Port};
 pub use routing::{Hop, Route, RoutingAlgorithm, XyRouting};
 pub use topology::{Link, Mesh};

@@ -4,9 +4,10 @@
 //! the network interface into one or more *packets*; each packet is serialised
 //! into *flits* (flow-control units) that traverse the network in a pipelined
 //! fashion, the header flit reserving the path hop by hop and the tail flit
-//! releasing it.
+//! releasing it.  Packets are never built as values: the packetizer
+//! ([`crate::packetization::Packetizer::flits`]) walks a message's
+//! [`crate::packetization::Split`] and emits its flits directly.
 
-use crate::error::{Error, Result};
 use crate::flow::FlowId;
 use crate::geometry::NodeId;
 
@@ -49,6 +50,16 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// The kind of flit `seq` (0-based) of a `length`-flit packet.
+    pub(crate) fn of(seq: u32, length: u32) -> Self {
+        match (seq == 0, seq + 1 == length) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        }
+    }
+
     /// Returns `true` for flits that carry routing information (`Head`,
     /// `HeadTail`).
     pub fn is_head(&self) -> bool {
@@ -89,133 +100,32 @@ pub struct Flit {
     pub injected: Cycle,
 }
 
-/// A packet: a header plus a payload of flits, produced by the packetizer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    /// Unique packet id.
-    pub id: PacketId,
-    /// The message this packet was sliced from.
-    pub message: MessageId,
-    /// The flow it belongs to.
-    pub flow: FlowId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Total length in flits (header included).
-    pub length_flits: u32,
-    /// Index of this packet within its message (0-based).
-    pub slice_index: u32,
-    /// Number of packets the message was sliced into.
-    pub slice_count: u32,
-    /// Cycle at which the parent message was handed to the source NIC.
-    pub msg_created: Cycle,
-}
-
-impl Packet {
-    /// Creates a packet description.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyMessage`] if `length_flits` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: PacketId,
-        message: MessageId,
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        length_flits: u32,
-        slice_index: u32,
-        slice_count: u32,
-    ) -> Result<Self> {
-        if length_flits == 0 {
-            return Err(Error::EmptyMessage);
-        }
-        Ok(Self {
-            id,
-            message,
-            flow,
-            src,
-            dst,
-            length_flits,
-            slice_index,
-            slice_count,
-            msg_created: 0,
-        })
-    }
-
-    /// Sets the creation cycle of the parent message (builder style).
-    pub fn with_created(mut self, cycle: Cycle) -> Self {
-        self.msg_created = cycle;
-        self
-    }
-
-    /// Expands the packet into its sequence of flits.
-    pub fn to_flits(&self) -> Vec<Flit> {
-        (0..self.length_flits)
-            .map(|seq| {
-                let kind = if self.length_flits == 1 {
-                    FlitKind::HeadTail
-                } else if seq == 0 {
-                    FlitKind::Head
-                } else if seq == self.length_flits - 1 {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                Flit {
-                    packet: self.id,
-                    message: self.message,
-                    flow: self.flow,
-                    src: self.src,
-                    dst: self.dst,
-                    kind,
-                    seq,
-                    msg_created: self.msg_created,
-                    injected: 0,
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry};
 
-    fn packet(len: u32) -> Packet {
-        Packet::new(
-            PacketId(1),
-            MessageId(1),
-            FlowId(0),
-            NodeId(0),
-            NodeId(5),
-            len,
-            0,
-            1,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn zero_length_packet_rejected() {
-        assert!(Packet::new(
-            PacketId(1),
-            MessageId(1),
-            FlowId(0),
-            NodeId(0),
-            NodeId(1),
-            0,
-            0,
-            1
-        )
-        .is_err());
+    /// The flits of one `len`-flit packet, as the packetizer emits them for a
+    /// message created at cycle `created`.
+    fn packet(len: u32, created: Cycle) -> Vec<Flit> {
+        let policy = PacketizationPolicy::Regular {
+            max_packet_flits: len,
+        };
+        let mut packetizer = Packetizer::new(policy, PhitGeometry::PAPER).unwrap();
+        let msg = MessageDescriptor {
+            id: MessageId(1),
+            flow: FlowId(0),
+            src: NodeId(0),
+            dst: NodeId(5),
+            regular_flits: len,
+            created,
+        };
+        packetizer.flits(&msg).unwrap().collect()
     }
 
     #[test]
     fn single_flit_packet_is_head_tail() {
-        let flits = packet(1).to_flits();
+        let flits = packet(1, 0);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
@@ -224,7 +134,7 @@ mod tests {
 
     #[test]
     fn multi_flit_packet_structure() {
-        let flits = packet(4).to_flits();
+        let flits = packet(4, 0);
         assert_eq!(flits.len(), 4);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Body);
@@ -233,19 +143,21 @@ mod tests {
         for (i, f) in flits.iter().enumerate() {
             assert_eq!(f.seq as usize, i);
             assert_eq!(f.dst, NodeId(5));
+            assert_eq!(f.packet, flits[0].packet);
+            assert_eq!(f.injected, 0);
         }
     }
 
     #[test]
     fn two_flit_packet_has_head_and_tail() {
-        let flits = packet(2).to_flits();
+        let flits = packet(2, 0);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Tail);
     }
 
     #[test]
     fn created_cycle_propagates_to_flits() {
-        let flits = packet(3).with_created(42).to_flits();
+        let flits = packet(3, 42);
         assert!(flits.iter().all(|f| f.msg_created == 42));
     }
 

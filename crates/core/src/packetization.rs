@@ -13,11 +13,17 @@
 //! cost of a per-flit control overhead: the paper's 64-byte cache line that fits
 //! in 4 flits of a 132-bit link (512 payload + 16 control bits) becomes 5
 //! single-flit packets (512 + 5·16 bits), a 25% overhead.
+//!
+//! Both policies are one slicing rule, [`PacketizationPolicy::split`], which
+//! returns a [`Split`] in closed form (packet count, common packet size, last
+//! packet size) without allocating.  Every WCTT analysis composes its
+//! per-packet terms over it, and the NIC's [`Packetizer::flits`] walks it to
+//! emit flits, so bounds and simulations slice every message identically.
 
 use crate::error::{Error, Result};
 use crate::flow::FlowId;
 use crate::geometry::NodeId;
-use crate::packet::{MessageId, Packet, PacketId};
+use crate::packet::{Flit, FlitKind, MessageId, PacketId};
 
 /// Link and header geometry used to convert message payload bits into flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,32 +137,33 @@ impl PacketizationPolicy {
         matches!(self, PacketizationPolicy::Wap { .. })
     }
 
-    /// Sizes of the wire packets a `message_flits`-flit message occupies
-    /// under this policy: greedy maximum-size packets under regular
-    /// packetization, `geometry.wap_slices` minimum-size slices (payload plus
-    /// per-slice control overhead) under WaP.
+    /// How a `message_flits`-flit message is cut into wire packets under
+    /// this policy: greedy maximum-size packets under regular packetization
+    /// (none for an empty message), `geometry.wap_slices` minimum-size slices
+    /// (payload plus per-slice control overhead, at least one) under WaP.
     ///
-    /// This is the single source of truth shared by the UBD composition
-    /// ([`crate::analysis::ubd::UbdModel`]) and the conformance oracles
-    /// ([`crate::analysis::oracle`]).
-    pub fn split_message(&self, message_flits: u32, geometry: PhitGeometry) -> Vec<u32> {
+    /// This is the one slicing rule: every analysis composes its per-packet
+    /// terms over it and the NIC emits exactly its packets
+    /// ([`Packetizer::flits`]).
+    pub fn split(&self, message_flits: u32, geometry: PhitGeometry) -> Split {
         match *self {
             PacketizationPolicy::Regular { max_packet_flits } => {
-                let take_at_most = max_packet_flits.max(1);
-                let mut sizes = Vec::new();
-                let mut remaining = message_flits;
-                while remaining > 0 {
-                    let take = remaining.min(take_at_most);
-                    sizes.push(take);
-                    remaining -= take;
+                let max = max_packet_flits.max(1);
+                let packets = div_ceil(message_flits, max);
+                let last = message_flits - packets.saturating_sub(1) * max;
+                Split {
+                    packets,
+                    size: if packets > 1 { max } else { last },
+                    last,
                 }
-                sizes
             }
             PacketizationPolicy::Wap { min_packet_flits } => {
-                let payload_bits = (message_flits * geometry.link_width_bits)
-                    .saturating_sub(geometry.control_bits);
-                let slices = geometry.wap_slices(payload_bits).max(1);
-                vec![min_packet_flits; slices as usize]
+                let payload_bits = regular_payload_bits(geometry, message_flits);
+                Split {
+                    packets: geometry.wap_slices(payload_bits),
+                    size: min_packet_flits,
+                    last: min_packet_flits,
+                }
             }
         }
     }
@@ -186,13 +193,62 @@ impl Default for PacketizationPolicy {
     }
 }
 
+/// A message cut into wire packets, in closed form: `packets` packets, every
+/// one `size` flits long except the last, which is `last` flits long.
+///
+/// [`PacketizationPolicy::split`] returns it canonical: `size == last`
+/// unless the message needs more than one packet, and both are 0 when it
+/// needs none.  A WCTT bound that sums a per-packet term over the packets
+/// needs just these three numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split {
+    /// Number of wire packets.
+    pub packets: u32,
+    /// Flits of every packet but the last.
+    pub size: u32,
+    /// Flits of the last packet.
+    pub last: u32,
+}
+
+impl Split {
+    /// Flits of packet `index` (0-based, `index < packets`).
+    pub fn packet_flits(&self, index: u32) -> u32 {
+        if index + 1 == self.packets {
+            self.last
+        } else {
+            self.size
+        }
+    }
+
+    /// Total flits on the wire: where the WaP control-replication overhead
+    /// shows (a 4-flit cache line becomes 5 single-flit slices).
+    pub fn wire_flits(&self) -> u32 {
+        match self.packets {
+            0 => 0,
+            packets => (packets - 1) * self.size + self.last,
+        }
+    }
+
+    /// `Σ per_packet(flits)` over the packets, saturating, evaluating
+    /// `per_packet` at most twice.
+    pub(crate) fn sum(&self, mut per_packet: impl FnMut(u32) -> u64) -> u64 {
+        match self.packets {
+            0 => 0,
+            1 => per_packet(self.last),
+            packets => u64::from(packets - 1)
+                .saturating_mul(per_packet(self.size))
+                .saturating_add(per_packet(self.last)),
+        }
+    }
+}
+
 /// A message handed to the NIC for transmission: a payload of `payload_flits`
 /// "useful" flits travelling from `src` to `dst`.
 ///
 /// The payload is expressed in flits of pure payload (i.e. the size the message
 /// occupies under regular packetization, header included) so workloads can be
 /// described independently of the packetization policy; see
-/// [`Packetizer::packetize`] for how WaP inflates it.
+/// [`PacketizationPolicy::split`] for how WaP inflates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageDescriptor {
     /// Message id (unique per NIC).
@@ -210,7 +266,8 @@ pub struct MessageDescriptor {
     pub created: u64,
 }
 
-/// Splits messages into packets according to a [`PacketizationPolicy`].
+/// Turns messages into flits according to a [`PacketizationPolicy`],
+/// numbering their packets.
 #[derive(Debug, Clone)]
 pub struct Packetizer {
     policy: PacketizationPolicy,
@@ -244,64 +301,41 @@ impl Packetizer {
     }
 
     /// Total number of flits the given message occupies on the wire under the
-    /// active policy (this is where the WaP control-replication overhead shows
-    /// up: a 4-flit message becomes 5 single-flit packets).
+    /// active policy.
     pub fn wire_flits(&self, regular_flits: u32) -> u32 {
-        match self.policy {
-            PacketizationPolicy::Regular { .. } => regular_flits,
-            PacketizationPolicy::Wap { min_packet_flits } => {
-                let payload_bits = regular_payload_bits(self.geometry, regular_flits);
-                self.geometry.wap_slices(payload_bits) * min_packet_flits
-            }
-        }
+        self.policy.split(regular_flits, self.geometry).wire_flits()
     }
 
-    /// Splits a message into packets.  Packet ids are assigned sequentially from
-    /// this packetizer's counter.
+    /// The flits of `msg`, in injection order: the packets of its
+    /// [`PacketizationPolicy::split`] back to back, each a head, bodies and a tail (or
+    /// one head-tail flit).  Packet ids are assigned sequentially from this
+    /// packetizer's counter.  Nothing is allocated.
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyMessage`] if the message has zero length.
-    pub fn packetize(&mut self, msg: &MessageDescriptor) -> Result<Vec<Packet>> {
+    pub fn flits(&mut self, msg: &MessageDescriptor) -> Result<impl Iterator<Item = Flit>> {
         if msg.regular_flits == 0 {
             return Err(Error::EmptyMessage);
         }
-        let packets: Vec<(u32, u32)> = match self.policy {
-            PacketizationPolicy::Regular { max_packet_flits } => {
-                // As few packets as possible, each at most L flits.
-                let count = div_ceil(msg.regular_flits, max_packet_flits);
-                (0..count)
-                    .map(|i| {
-                        let remaining = msg.regular_flits - i * max_packet_flits;
-                        (i, remaining.min(max_packet_flits))
-                    })
-                    .collect()
-            }
-            PacketizationPolicy::Wap { min_packet_flits } => {
-                let payload_bits = regular_payload_bits(self.geometry, msg.regular_flits);
-                let count = self.geometry.wap_slices(payload_bits);
-                (0..count).map(|i| (i, min_packet_flits)).collect()
-            }
-        };
-        let slice_count = packets.len() as u32;
-        packets
-            .into_iter()
-            .map(|(index, len)| {
-                let id = PacketId(self.next_packet);
-                self.next_packet += 1;
-                Ok(Packet::new(
-                    id,
-                    msg.id,
-                    msg.flow,
-                    msg.src,
-                    msg.dst,
-                    len,
-                    index,
-                    slice_count,
-                )?
-                .with_created(msg.created))
+        let split = self.policy.split(msg.regular_flits, self.geometry);
+        let first_packet = self.next_packet;
+        self.next_packet += u64::from(split.packets);
+        let msg = *msg;
+        Ok((0..split.packets).flat_map(move |index| {
+            let length = split.packet_flits(index);
+            (0..length).map(move |seq| Flit {
+                packet: PacketId(first_packet + u64::from(index)),
+                message: msg.id,
+                flow: msg.flow,
+                src: msg.src,
+                dst: msg.dst,
+                kind: FlitKind::of(seq, length),
+                seq,
+                msg_created: msg.created,
+                injected: 0,
             })
-            .collect()
+        }))
     }
 }
 
@@ -325,14 +359,45 @@ mod tests {
         let regular = PacketizationPolicy::Regular {
             max_packet_flits: 4,
         };
-        assert_eq!(regular.split_message(4, geometry), vec![4]);
-        assert_eq!(regular.split_message(10, geometry), vec![4, 4, 2]);
-        assert_eq!(regular.split_message(1, geometry), vec![1]);
+        let sizes = |split: Split| {
+            (0..split.packets)
+                .map(|index| split.packet_flits(index))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(regular.split(4, geometry)), vec![4]);
+        assert_eq!(sizes(regular.split(10, geometry)), vec![4, 4, 2]);
+        assert_eq!(sizes(regular.split(1, geometry)), vec![1]);
+        assert_eq!(
+            regular.split(10, geometry),
+            Split {
+                packets: 3,
+                size: 4,
+                last: 2
+            }
+        );
+        // An empty message needs no regular packet ...
+        assert_eq!(
+            regular.split(0, geometry),
+            Split {
+                packets: 0,
+                size: 0,
+                last: 0
+            }
+        );
 
         let wap = PacketizationPolicy::wap();
         // A 4-flit cache line becomes 5 single-flit slices (control overhead).
-        assert_eq!(wap.split_message(4, geometry), vec![1, 1, 1, 1, 1]);
-        assert_eq!(wap.split_message(1, geometry), vec![1]);
+        assert_eq!(sizes(wap.split(4, geometry)), vec![1, 1, 1, 1, 1]);
+        assert_eq!(sizes(wap.split(1, geometry)), vec![1]);
+        // ... but still one WaP slice.
+        assert_eq!(sizes(wap.split(0, geometry)), vec![1]);
+
+        // The closed-form sum is the per-packet sum, saturating like a fold
+        // of saturating adds.
+        let split = regular.split(10, geometry);
+        assert_eq!(split.sum(|flits| u64::from(flits) * 100 + 1), 1003);
+        assert_eq!(split.sum(|_| u64::MAX / 2), u64::MAX);
+        assert_eq!(regular.split(0, geometry).sum(|_| 7), 0);
     }
 
     fn msg(flits: u32) -> MessageDescriptor {
@@ -344,6 +409,18 @@ mod tests {
             regular_flits: flits,
             created: 10,
         }
+    }
+
+    /// The flits of one message, grouped into `(packet id, flits)` runs.
+    fn packets(p: &mut Packetizer, flits: u32) -> Vec<(u64, Vec<Flit>)> {
+        let mut packets: Vec<(u64, Vec<Flit>)> = Vec::new();
+        for flit in p.flits(&msg(flits)).unwrap() {
+            match packets.last_mut() {
+                Some((id, run)) if *id == flit.packet.0 => run.push(flit),
+                _ => packets.push((flit.packet.0, vec![flit])),
+            }
+        }
+        packets
     }
 
     #[test]
@@ -368,11 +445,10 @@ mod tests {
     fn regular_packetization_single_packet() {
         let mut p =
             Packetizer::new(PacketizationPolicy::regular_l4(), PhitGeometry::PAPER).unwrap();
-        let packets = p.packetize(&msg(4)).unwrap();
+        let packets = packets(&mut p, 4);
         assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].length_flits, 4);
-        assert_eq!(packets[0].slice_count, 1);
-        assert_eq!(packets[0].msg_created, 10);
+        assert_eq!(packets[0].1.len(), 4);
+        assert!(packets[0].1.iter().all(|f| f.msg_created == 10));
     }
 
     #[test]
@@ -384,22 +460,22 @@ mod tests {
             PhitGeometry::PAPER,
         )
         .unwrap();
-        let packets = p.packetize(&msg(10)).unwrap();
+        let packets = packets(&mut p, 10);
         assert_eq!(packets.len(), 3);
         assert_eq!(
-            packets.iter().map(|p| p.length_flits).collect::<Vec<_>>(),
+            packets.iter().map(|(_, run)| run.len()).collect::<Vec<_>>(),
             vec![4, 4, 2]
         );
-        assert!(packets.iter().all(|p| p.slice_count == 3));
     }
 
     #[test]
     fn wap_slices_cache_line_into_five_single_flit_packets() {
         let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
-        let packets = p.packetize(&msg(4)).unwrap();
+        let packets = packets(&mut p, 4);
         assert_eq!(packets.len(), 5);
-        assert!(packets.iter().all(|p| p.length_flits == 1));
-        assert_eq!(packets[0].slice_count, 5);
+        assert!(packets
+            .iter()
+            .all(|(_, run)| run.len() == 1 && run[0].kind == FlitKind::HeadTail));
         // Wire occupancy grows from 4 to 5 flits (25% overhead).
         assert_eq!(p.wire_flits(4), 5);
     }
@@ -409,27 +485,33 @@ mod tests {
         // A one-flit request has no payload beyond its control information, so
         // WaP does not inflate it (the paper's load requests stay one flit).
         let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
-        let packets = p.packetize(&msg(1)).unwrap();
+        let packets = packets(&mut p, 1);
         assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].length_flits, 1);
+        assert_eq!(packets[0].1.len(), 1);
         assert_eq!(p.wire_flits(1), 1);
     }
 
     #[test]
     fn packet_ids_are_unique_and_sequential() {
         let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
-        let a = p.packetize(&msg(4)).unwrap();
-        let b = p.packetize(&msg(4)).unwrap();
-        let mut ids: Vec<u64> = a.iter().chain(b.iter()).map(|p| p.id.0).collect();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before);
+        let a = packets(&mut p, 4);
+        let b = packets(&mut p, 4);
+        let ids: Vec<u64> = a.iter().chain(b.iter()).map(|(id, _)| *id).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_message_rejected() {
         let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
-        assert!(p.packetize(&msg(0)).is_err());
+        assert!(p.flits(&msg(0)).is_err());
+        let mut p =
+            Packetizer::new(PacketizationPolicy::regular_l4(), PhitGeometry::PAPER).unwrap();
+        assert!(p.flits(&msg(0)).is_err());
+        // A rejected message consumes no packet id.
+        assert_eq!(
+            p.flits(&msg(1)).unwrap().next().unwrap().packet,
+            PacketId(0)
+        );
     }
 
     #[test]

@@ -16,10 +16,81 @@ use wnoc_core::port::{Direction, Port};
 use wnoc_core::routing::{xy_turn_allowed, Route, RoutingAlgorithm, XyRouting};
 use wnoc_core::topology::Mesh;
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{BufferConfig, FlowId, MessageId, NocConfig, NodeId, VcAssignment, VcConfig};
+use wnoc_core::{
+    BufferConfig, FlowId, MessageId, NocConfig, NodeId, PacketId, VcAssignment, VcConfig,
+};
 
 fn mesh_dims() -> impl Strategy<Value = (u16, u16)> {
     (1u16..=6, 1u16..=6).prop_filter("at least two nodes", |(w, h)| *w * *h >= 2)
+}
+
+/// Greedy reference slicing, written out packet by packet: maximum-size
+/// packets until the message is used up under regular packetization; under
+/// WaP, `m`-flit slices each carrying one slice's worth of payload bits until
+/// the payload is carried, and at least one slice.
+fn reference_sizes(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u32) -> Vec<u32> {
+    let mut sizes = Vec::new();
+    match policy {
+        PacketizationPolicy::Regular { max_packet_flits } => {
+            let mut remaining = flits;
+            while remaining > 0 {
+                let take = remaining.min(max_packet_flits);
+                sizes.push(take);
+                remaining -= take;
+            }
+        }
+        PacketizationPolicy::Wap { min_packet_flits } => {
+            let mut payload =
+                (flits * geometry.link_width_bits).saturating_sub(geometry.control_bits);
+            loop {
+                sizes.push(min_packet_flits);
+                payload = payload.saturating_sub(geometry.payload_bits_per_wap_flit());
+                if payload == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    sizes
+}
+
+/// The split of a `flits`-flit message equals the greedy reference, its flit
+/// total equals `wire_flits`, and the packetizer emits exactly its packets,
+/// with sequential ids across two messages (a zero-flit message is rejected).
+fn check_split(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u32) {
+    let split = policy.split(flits, geometry);
+    let sizes: Vec<u32> = (0..split.packets).map(|i| split.packet_flits(i)).collect();
+    let reference = reference_sizes(policy, geometry, flits);
+    assert_eq!(&sizes, &reference);
+    let mut packetizer = Packetizer::new(policy, geometry).unwrap();
+    assert_eq!(split.wire_flits(), reference.iter().sum::<u32>());
+    assert_eq!(packetizer.wire_flits(flits), split.wire_flits());
+    let msg = MessageDescriptor {
+        id: MessageId(7),
+        flow: FlowId(0),
+        src: NodeId(1),
+        dst: NodeId(0),
+        regular_flits: flits,
+        created: 0,
+    };
+    if flits == 0 {
+        assert!(packetizer.flits(&msg).is_err());
+        return;
+    }
+    let mut next_packet = 0;
+    for _ in 0..2 {
+        let mut emitted = packetizer.flits(&msg).unwrap();
+        for &size in &reference {
+            for seq in 0..size {
+                let flit = emitted.next().expect("one flit per split flit");
+                assert_eq!(flit.packet, PacketId(next_packet));
+                assert_eq!(flit.seq, seq);
+                assert_eq!(flit.message, MessageId(7));
+            }
+            next_packet += 1;
+        }
+        assert!(emitted.next().is_none());
+    }
 }
 
 proptest! {
@@ -102,60 +173,41 @@ proptest! {
     }
 
     /// WaP slicing preserves the payload: the slices carry at least as many
-    /// payload bits as the original message and the flit count matches the
-    /// closed-form `wap_slices`.
+    /// payload bits as the original message and the slice count matches the
+    /// closed-form `wap_slices`.  The split agrees with the greedy reference,
+    /// `wire_flits` and the packetizer's flits.
     #[test]
-    fn wap_slicing_preserves_payload(regular_flits in 1u32..64) {
+    fn wap_slicing_preserves_payload(regular_flits in 0u32..64, min_packet in 1u32..16) {
         let geometry = PhitGeometry::PAPER;
-        let mut packetizer = Packetizer::new(PacketizationPolicy::wap(), geometry).unwrap();
-        let msg = MessageDescriptor {
-            id: MessageId(1),
-            flow: FlowId(0),
-            src: NodeId(1),
-            dst: NodeId(0),
-            regular_flits,
-            created: 0,
-        };
-        let packets = packetizer.packetize(&msg).unwrap();
+        let policy = PacketizationPolicy::Wap { min_packet_flits: min_packet };
+        let split = policy.split(regular_flits, geometry);
         let payload_bits = (regular_flits * geometry.link_width_bits)
             .saturating_sub(geometry.control_bits);
-        prop_assert_eq!(packets.len() as u32, geometry.wap_slices(payload_bits));
+        prop_assert_eq!(split.packets, geometry.wap_slices(payload_bits));
         // Every slice can carry link_width - control payload bits; together they
         // cover the original payload.
-        let capacity: u32 = packets.len() as u32 * geometry.payload_bits_per_wap_flit();
+        let capacity = split.packets * geometry.payload_bits_per_wap_flit();
         prop_assert!(capacity >= payload_bits);
-        // Slices are single-flit and share the message id.
-        for p in &packets {
-            prop_assert_eq!(p.length_flits, 1);
-            prop_assert_eq!(p.message, MessageId(1));
-        }
-        // The wire overhead never exceeds one extra flit per original flit.
-        prop_assert!(packets.len() as u32 <= 2 * regular_flits);
+        // The wire overhead never exceeds one extra slice per original flit
+        // (an empty message still sends one slice).
+        prop_assert!(split.packets <= (2 * regular_flits).max(1));
+        check_split(policy, geometry, regular_flits);
     }
 
     /// Regular packetization never produces packets larger than L and covers
-    /// exactly the message length.
+    /// exactly the message length.  The split agrees with the greedy
+    /// reference, `wire_flits` and the packetizer's flits.
     #[test]
     fn regular_packetization_covers_message(
-        regular_flits in 1u32..64,
+        regular_flits in 0u32..64,
         max_packet in 1u32..16,
     ) {
-        let mut packetizer = Packetizer::new(
-            PacketizationPolicy::Regular { max_packet_flits: max_packet },
-            PhitGeometry::PAPER,
-        ).unwrap();
-        let msg = MessageDescriptor {
-            id: MessageId(7),
-            flow: FlowId(0),
-            src: NodeId(1),
-            dst: NodeId(0),
-            regular_flits,
-            created: 0,
-        };
-        let packets = packetizer.packetize(&msg).unwrap();
-        let total: u32 = packets.iter().map(|p| p.length_flits).sum();
-        prop_assert_eq!(total, regular_flits);
-        prop_assert!(packets.iter().all(|p| p.length_flits <= max_packet));
+        let geometry = PhitGeometry::PAPER;
+        let policy = PacketizationPolicy::Regular { max_packet_flits: max_packet };
+        let split = policy.split(regular_flits, geometry);
+        prop_assert_eq!(split.wire_flits(), regular_flits);
+        prop_assert!(split.size <= max_packet && split.last <= max_packet);
+        check_split(policy, geometry, regular_flits);
     }
 
     /// The weighted arbiter's long-run grant shares match the configured quotas

@@ -49,10 +49,17 @@
 //! Idle components cost nothing, so a closed-loop probing campaign on a large
 //! mesh scales with live traffic instead of mesh size, and quiescence
 //! ([`Network::is_drained`]) is an O(1) check: empty worklists plus an empty
-//! message tracker.  After construction and a warm-up in which scratch
-//! buffers and stats tables reach their steady-state footprint, `step`
-//! performs **zero heap allocations** (enforced by the `zero_alloc`
-//! integration test with a counting global allocator).
+//! message tracker.  After construction and a warm-up in which the arena
+//! slab, the NIC queues and the message tracker reach their steady-state
+//! footprint, neither [`Network::offer`] nor `step` performs a heap
+//! allocation (enforced by the `zero_alloc` integration test with a counting
+//! global allocator).  An offer walks the message's closed-form
+//! [`Split`](wnoc_core::packetization::Split) — the one slicing rule the
+//! WCTT analyses share — straight into the arena; injection touches no
+//! per-message state, since a message's first-injection cycle is folded
+//! from its flits' `injected` stamps as they are ejected; and delivery
+//! records into per-flow [`NetworkStats`] tables indexed by [`FlowId`],
+//! sized when each flow is registered.
 
 use std::collections::HashMap;
 
@@ -98,7 +105,10 @@ struct MessageProgress {
     flow: FlowId,
     dst: NodeId,
     created: Cycle,
-    first_injection: Option<Cycle>,
+    /// The smallest `injected` stamp among the flits ejected so far
+    /// (`Cycle::MAX` before the first): once the last flit is out, the cycle
+    /// the message's first flit entered the network.
+    first_injection: Cycle,
     expected_flits: u32,
     received_flits: u32,
     /// The regular-packetization size the message was offered with — what a
@@ -448,6 +458,8 @@ impl Network {
             vc_of[id.0] = vcs.vc_of(id, src, dst) as u8;
         }
         let next_flow = flows.len();
+        let mut stats = NetworkStats::new();
+        stats.register_flows(next_flow);
         let link_count = links.len();
         Ok(Self {
             mesh,
@@ -480,7 +492,7 @@ impl Network {
             next_flow,
             tracker: HashMap::default(),
             delivered: Vec::new(),
-            stats: NetworkStats::new(),
+            stats,
             cycle: 0,
             fast_forwards: 0,
             construction_flows: flows.clone(),
@@ -585,6 +597,7 @@ impl Network {
         };
         debug_assert_eq!(self.vc_of.len(), id.0);
         self.vc_of.push(vc);
+        self.stats.register_flows(self.next_flow);
         id
     }
 
@@ -638,7 +651,7 @@ impl Network {
                 flow,
                 dst,
                 created: now,
-                first_injection: None,
+                first_injection: Cycle::MAX,
                 expected_flits: offered.wire_flits,
                 received_flits: 0,
                 regular_flits: size_flits,
@@ -780,7 +793,6 @@ impl Network {
         self.scratch_nics.sort_unstable();
         for slot in 0..self.scratch_nics.len() {
             let index = self.scratch_nics[slot] as usize;
-            let src = self.nics[index].node();
             // FIFO injection: the head flit's VC ring must have room; a head
             // blocked on its ring stalls the NIC (head-of-line, exactly one
             // injection queue) until the router drains that ring.
@@ -792,14 +804,8 @@ impl Network {
                 let id = self.nics[index]
                     .inject(&mut self.arena, now)
                     .expect("peeked flit exists");
-                let flit = self.arena.get(id);
-                if let Some(progress) = self.tracker.get_mut(&(src, flit.message)) {
-                    if progress.first_injection.is_none() {
-                        progress.first_injection = Some(now);
-                    }
-                }
                 self.stats.flits_injected += 1;
-                if flit.kind.is_head() {
+                if self.arena.get(id).kind.is_head() {
                     self.stats.packets_injected += 1;
                 }
                 self.routers[index]
@@ -831,6 +837,7 @@ impl Network {
             let key = (flit.src, flit.message);
             let finished = if let Some(progress) = self.tracker.get_mut(&key) {
                 progress.received_flits += 1;
+                progress.first_injection = progress.first_injection.min(flit.injected);
                 progress.received_flits >= progress.expected_flits
             } else {
                 false
@@ -838,8 +845,7 @@ impl Network {
             if finished {
                 let progress = self.tracker.remove(&key).expect("present above");
                 let end_to_end = now.saturating_sub(progress.created);
-                let traversal =
-                    now.saturating_sub(progress.first_injection.unwrap_or(progress.created));
+                let traversal = now.saturating_sub(progress.first_injection);
                 self.stats
                     .record_message(progress.flow, end_to_end, traversal);
                 self.delivered.push(Delivered {
@@ -1240,19 +1246,20 @@ impl Network {
         }
 
         // Ejection bookkeeping, in delivery order (nearest flit first).
+        let mut first_injection = progress.first_injection;
         for slot in 0..holders {
             let holder = self.scratch_ff[slot];
             let flit = *self.arena.get(holder.flit);
             self.arena.free(holder.flit);
+            first_injection = first_injection.min(flit.injected);
             self.stats.flits_delivered += 1;
             if flit.kind.is_tail() {
                 self.stats.packets_delivered += 1;
             }
         }
-        let progress = self.tracker.remove(&key).expect("present above");
+        self.tracker.remove(&key).expect("present above");
         let end_to_end = last_delivery.saturating_sub(progress.created);
-        let traversal =
-            last_delivery.saturating_sub(progress.first_injection.unwrap_or(progress.created));
+        let traversal = last_delivery.saturating_sub(first_injection);
         self.stats
             .record_message(progress.flow, end_to_end, traversal);
         self.delivered.push(Delivered {
@@ -1572,7 +1579,7 @@ impl Network {
                     flow: entry.flow,
                     dst: entry.dst,
                     created: entry.created,
-                    first_injection: None,
+                    first_injection: Cycle::MAX,
                     expected_flits: offered.wire_flits,
                     received_flits: 0,
                     regular_flits: entry.regular_flits,

@@ -6,8 +6,12 @@
 //! packets with replicated control information (WaP), depending on the
 //! configured [`PacketizationPolicy`](wnoc_core::PacketizationPolicy).
 //!
-//! Flits are allocated into the network's [`FlitArena`] at offer time; the
-//! injection queue holds [`FlitId`] handles only.
+//! An offer walks the message's closed-form
+//! [`Split`](wnoc_core::packetization::Split) — the one slicing rule the
+//! WCTT analyses compose over — and writes each flit straight into the
+//! network's [`FlitArena`]; the injection queue holds [`FlitId`] handles
+//! only.  Once the arena and the queues have grown to their peak backlog,
+//! an offer allocates nothing.
 //!
 //! Under the event-horizon scheduler a NIC is *actable* — worth visiting —
 //! exactly while it is back-logged and the router's local input buffer has a
@@ -99,8 +103,8 @@ impl Nic {
         self.pending.is_empty()
     }
 
-    /// Accepts a message for transmission: packetizes it according to the
-    /// configured policy, allocates its flits into `arena` and queues their
+    /// Accepts a message for transmission: walks its split under the
+    /// configured policy, writes its flits into `arena` and queues their
     /// handles for injection.
     ///
     /// # Panics
@@ -172,28 +176,26 @@ impl Nic {
             regular_flits: size_flits,
             created: now,
         };
-        let packets = self
-            .packetizer
-            .packetize(&descriptor)
-            .expect("non-empty message");
-        let packet_count = packets.len() as u32;
-        let mut wire_flits = 0;
-        for packet in &packets {
-            wire_flits += packet.length_flits;
-            for flit in packet.to_flits() {
-                self.pending.push_back(arena.alloc(flit));
-            }
-        }
-        self.pending_messages.push_back((id, wire_flits));
-        OfferedMessage {
+        let mut offered = OfferedMessage {
             id,
             flow,
             src: self.node,
             dst,
             created: now,
-            packets: packet_count,
-            wire_flits,
+            packets: 0,
+            wire_flits: 0,
+        };
+        let flits = self
+            .packetizer
+            .flits(&descriptor)
+            .expect("non-empty message");
+        for flit in flits {
+            offered.packets += u32::from(flit.kind.is_head());
+            offered.wire_flits += 1;
+            self.pending.push_back(arena.alloc(flit));
         }
+        self.pending_messages.push_back((id, offered.wire_flits));
+        offered
     }
 
     /// The next flit awaiting injection, if any.

@@ -97,6 +97,17 @@ impl SaturatedReport {
     }
 }
 
+/// The flows of a per-flow table (indexed by [`FlowId`]) with at least one
+/// sample.
+fn sampled_flows(per_flow: &[LatencyStats]) -> HashMap<FlowId, LatencyStats> {
+    per_flow
+        .iter()
+        .enumerate()
+        .filter(|(_, stats)| !stats.is_empty())
+        .map(|(index, stats)| (FlowId(index), *stats))
+        .collect()
+}
+
 /// High-level simulation driver around [`Network`].
 #[derive(Debug)]
 pub struct Simulation {
@@ -219,7 +230,7 @@ impl Simulation {
         let backlog_flits = 8 * message_flits as usize;
         let pairs: Vec<(NodeId, NodeId)> = flows.flows().iter().map(|f| (f.src, f.dst)).collect();
 
-        let mut baseline: HashMap<FlowId, LatencyStats> = HashMap::new();
+        let mut baseline: Vec<LatencyStats> = Vec::new();
         for phase in 0..2 {
             let cycles = if phase == 0 { warmup } else { measure };
             for _ in 0..cycles {
@@ -238,12 +249,12 @@ impl Simulation {
         }
 
         let mut per_flow = HashMap::new();
-        for (flow, stats) in &self.network.stats().traversal_latency {
-            let before = baseline.get(flow).map(|s| s.count).unwrap_or(0);
+        for (index, stats) in self.network.stats().traversal_latency.iter().enumerate() {
+            let before = baseline.get(index).map_or(0, |s| s.count);
             if stats.count > before {
                 // Report the stats over the whole saturated run for simplicity;
                 // the warm-up only serves to fill the network first.
-                per_flow.insert(*flow, *stats);
+                per_flow.insert(FlowId(index), *stats);
             }
         }
         Ok(SaturatedReport {
@@ -367,7 +378,7 @@ impl Simulation {
         self.network.step_until_quiescent(4 * cycles + 10_000)?;
         Ok(SaturatedReport {
             measured_cycles: cycles,
-            per_flow: self.network.stats().traversal_latency.clone(),
+            per_flow: sampled_flows(&self.network.stats().traversal_latency),
         })
     }
 
@@ -415,7 +426,7 @@ impl Simulation {
             .step_until_quiescent(4 * schedule.horizon() + 10_000)?;
         Ok(SaturatedReport {
             measured_cycles: schedule.horizon(),
-            per_flow: self.network.stats().message_latency.clone(),
+            per_flow: sampled_flows(&self.network.stats().message_latency),
         })
     }
 
@@ -485,7 +496,7 @@ impl Simulation {
         self.network.step_until_quiescent(drain_limit)?;
         Ok(SaturatedReport {
             measured_cycles: cycles,
-            per_flow: self.network.stats().traversal_latency.clone(),
+            per_flow: sampled_flows(&self.network.stats().traversal_latency),
         })
     }
 

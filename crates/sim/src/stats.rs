@@ -1,7 +1,7 @@
 //! Simulation statistics: per-flow latency distributions, throughput and link
 //! utilisation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use wnoc_core::{Cycle, FlowId};
 
@@ -115,11 +115,13 @@ pub struct NetworkStats {
     pub flits_injected: u64,
     /// Flits delivered (ejected) at destinations.
     pub flits_delivered: u64,
-    /// End-to-end message latency (creation to last flit delivery) per flow.
-    pub message_latency: HashMap<FlowId, LatencyStats>,
+    /// End-to-end message latency (creation to last flit delivery) per flow,
+    /// indexed by [`FlowId`]; a flow with no delivered message has an empty
+    /// summary.
+    pub message_latency: Vec<LatencyStats>,
     /// Network traversal latency (injection of first flit to delivery of last
-    /// flit) per flow.
-    pub traversal_latency: HashMap<FlowId, LatencyStats>,
+    /// flit) per flow, indexed like `message_latency`.
+    pub traversal_latency: Vec<LatencyStats>,
     /// Messages NACKed by a fault epoch flush and re-queued for
     /// retransmission.  This and the other fault counters stay zero (and
     /// the map empty) in a fault-free run.
@@ -140,45 +142,45 @@ impl NetworkStats {
         Self::default()
     }
 
+    /// Sizes the per-flow tables for flows `0..count` (registering a flow
+    /// never shrinks them).
+    pub fn register_flows(&mut self, count: usize) {
+        if count > self.message_latency.len() {
+            self.message_latency.resize(count, LatencyStats::new());
+            self.traversal_latency.resize(count, LatencyStats::new());
+        }
+    }
+
     /// Records a delivered message's end-to-end and traversal latencies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` was not registered ([`NetworkStats::register_flows`]).
     pub fn record_message(&mut self, flow: FlowId, end_to_end: u64, traversal: u64) {
         self.messages_delivered += 1;
-        self.message_latency
-            .entry(flow)
-            .or_default()
-            .record(end_to_end);
-        self.traversal_latency
-            .entry(flow)
-            .or_default()
-            .record(traversal);
+        self.message_latency[flow.0].record(end_to_end);
+        self.traversal_latency[flow.0].record(traversal);
     }
 
     /// Aggregate message-latency summary across all flows.
     pub fn overall_message_latency(&self) -> LatencyStats {
-        let mut all = LatencyStats::new();
-        for stats in self.message_latency.values() {
-            all.merge(stats);
-        }
-        all
+        merged(&self.message_latency)
     }
 
     /// Aggregate traversal-latency summary across all flows.
     pub fn overall_traversal_latency(&self) -> LatencyStats {
-        let mut all = LatencyStats::new();
-        for stats in self.traversal_latency.values() {
-            all.merge(stats);
-        }
-        all
+        merged(&self.traversal_latency)
     }
 
     /// Message latency summary of one flow, if any message of it was delivered.
     pub fn flow_message_latency(&self, flow: FlowId) -> Option<&LatencyStats> {
-        self.message_latency.get(&flow)
+        self.message_latency.get(flow.0).filter(|s| !s.is_empty())
     }
 
-    /// Traversal latency summary of one flow.
+    /// Traversal latency summary of one flow, if any message of it was
+    /// delivered.
     pub fn flow_traversal_latency(&self, flow: FlowId) -> Option<&LatencyStats> {
-        self.traversal_latency.get(&flow)
+        self.traversal_latency.get(flow.0).filter(|s| !s.is_empty())
     }
 
     /// Accepted throughput in flits per cycle.
@@ -189,6 +191,15 @@ impl NetworkStats {
             self.flits_delivered as f64 / self.cycles as f64
         }
     }
+}
+
+/// Every per-flow summary folded into one.
+fn merged(per_flow: &[LatencyStats]) -> LatencyStats {
+    let mut all = LatencyStats::new();
+    for stats in per_flow {
+        all.merge(stats);
+    }
+    all
 }
 
 #[cfg(test)]
@@ -314,6 +325,7 @@ mod tests {
     #[test]
     fn network_stats_records_per_flow() {
         let mut stats = NetworkStats::new();
+        stats.register_flows(3);
         stats.record_message(FlowId(0), 100, 80);
         stats.record_message(FlowId(0), 60, 50);
         stats.record_message(FlowId(1), 10, 8);
@@ -323,6 +335,9 @@ mod tests {
         let overall = stats.overall_message_latency();
         assert_eq!(overall.count, 3);
         assert_eq!(overall.min, 10);
+        // A registered flow without deliveries has no summary.
+        assert_eq!(stats.flow_message_latency(FlowId(2)), None);
+        assert_eq!(stats.flow_traversal_latency(FlowId(3)), None);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Steady-state allocation audit: after construction and one warm-up wave,
-//! [`Network::step`] must perform **zero heap allocations**.
+//! [`Network::offer`] and [`Network::step`] must perform **zero heap
+//! allocations**.
 //!
 //! A counting global allocator wraps the system allocator; the test drives
 //! identical traffic waves through a 6×6 WaW+WaP mesh, and then through a
 //! 6×6 round-robin mesh with three virtual channels, and counts allocator
-//! hits during each second wave's drain loop.  Offering messages is allowed to
-//! allocate (the packetizer builds packet descriptors, the arena slab grows
-//! towards its high-water mark); *stepping* is not — every queue is a
-//! preallocated ring, router decisions go through reusable scratch buffers,
-//! and statistics tables only touch keys created during the warm-up.
+//! hits during each second wave's offers and during its drain loop.  An offer
+//! walks the message's closed-form split and writes its flits straight into
+//! the arena, whose slab and free list, like the NIC queues and the message
+//! tracker, reached their high-water marks during the warm-up; stepping runs
+//! on preallocated rings and reusable scratch buffers, and the per-flow
+//! statistics are dense tables sized when each flow was registered.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,10 +105,14 @@ fn steady_state_stepping_does_not_allocate() {
     noc.drain_delivered_into(&mut sink);
     let slab_high_water = noc.arena().capacity();
 
-    // Identical second wave.  The offers themselves may allocate (packet
-    // descriptors); the slab must not regrow, and from here on every `step`
-    // runs on recycled memory.
-    offer_wave(&mut noc, &flows);
+    // Identical second wave: offering it reuses the warm-up's memory, the
+    // slab must not regrow, and from here on every `step` runs on recycled
+    // memory.
+    let ((), allocations) = counted(|| offer_wave(&mut noc, &flows));
+    assert_eq!(
+        allocations, 0,
+        "offering the second wave allocated {allocations} times"
+    );
     assert_eq!(
         noc.arena().capacity(),
         slab_high_water,
@@ -129,7 +135,7 @@ fn steady_state_stepping_does_not_allocate() {
     // the event-horizon machinery — blocked-router skipping, horizon
     // advancement and the contention-free worm fast-forward — and none of it
     // may allocate either (the fast-forward scratch is preallocated at
-    // construction).  Offering happens outside the armed window, as above.
+    // construction), and neither may its offer.
     let fast_forwards_before = noc.fast_forwards();
     let corner = flows
         .flows()
@@ -138,7 +144,12 @@ fn steady_state_stepping_does_not_allocate() {
         .max()
         .expect("hotspot set has sources");
     let dst = mesh.node_id(hotspot).unwrap();
-    noc.offer(corner, dst, 4).unwrap();
+    let (offered, allocations) = counted(|| noc.offer(corner, dst, 4));
+    offered.unwrap();
+    assert_eq!(
+        allocations, 0,
+        "offering the sparse worm allocated {allocations} times"
+    );
 
     let (drained, allocations) = counted(|| noc.run_until_drained(100_000));
     assert!(drained, "sparse worm must drain");
@@ -169,7 +180,11 @@ fn steady_state_stepping_does_not_allocate() {
         "multi-VC warm-up wave must drain"
     );
     noc.drain_delivered_into(&mut sink);
-    offer_wave(&mut noc, &flows);
+    let ((), allocations) = counted(|| offer_wave(&mut noc, &flows));
+    assert_eq!(
+        allocations, 0,
+        "offering the multi-VC second wave allocated {allocations} times"
+    );
     let (drained, allocations) = counted(|| noc.run_until_drained(1_000_000));
     assert!(drained, "multi-VC steady-state wave must drain");
     assert_eq!(
