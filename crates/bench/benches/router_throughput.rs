@@ -1,7 +1,9 @@
 //! Criterion bench: raw throughput of the cycle-accurate simulator substrate —
 //! cycles per second of an 8×8 network under hotspot load (single-VC
-//! round robin and WaW, and round robin over three virtual channels), and
-//! the average performance experiment on the 4×4 platform.
+//! round robin and WaW, and round robin over three virtual channels), the
+//! closed-loop probing driver on the same hotspot (whose timed loop offers
+//! and delivers messages, not only steps), and the average performance
+//! experiment on the 4×4 platform.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -11,6 +13,7 @@ use wnoc_core::flow::FlowSet;
 use wnoc_core::vc::{VcAssignment, VcConfig};
 use wnoc_core::{BufferConfig, Coord, Mesh, NocConfig};
 use wnoc_sim::network::Network;
+use wnoc_sim::Simulation;
 
 fn bench_network_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/hotspot_steps");
@@ -54,6 +57,37 @@ fn bench_network_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The conformance campaigns' probing discipline: every source keeps one
+/// message outstanding and offers the next on delivery, so the timed loop
+/// covers the per-message path (offer, injection, delivery bookkeeping) as
+/// well as stepping.  Building the simulation is batch set-up, untimed.
+fn bench_closed_loop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulator/closed_loop_hotspot");
+    let cycles_per_iter = 2_000u64;
+    group.throughput(Throughput::Elements(cycles_per_iter));
+    group.sample_size(20);
+    for (label, config, message_flits) in [
+        ("regular", NocConfig::regular(4), 4),
+        ("waw_wap", NocConfig::waw_wap(), 1),
+    ] {
+        group.bench_function(label, |b| {
+            let mesh = Mesh::square(8).unwrap();
+            let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
+            b.iter_batched(
+                || Simulation::new(mesh, config, &flows).unwrap(),
+                |mut sim| {
+                    let report = sim
+                        .run_closed_loop(&flows, message_flits, cycles_per_iter)
+                        .unwrap();
+                    black_box(report.max())
+                },
+                criterion::BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_avg_perf_small(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/avg_perf_4x4");
     group.sample_size(10);
@@ -73,5 +107,10 @@ fn bench_avg_perf_small(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_network_step, bench_avg_perf_small);
+criterion_group!(
+    benches,
+    bench_network_step,
+    bench_closed_loop,
+    bench_avg_perf_small
+);
 criterion_main!(benches);
