@@ -71,6 +71,9 @@
 
 use crate::buffers::BufferConfig;
 use crate::config::RouterTiming;
+use crate::error::Result;
+use crate::geometry::NodeId;
+use crate::port::Port;
 use crate::routing::Route;
 use crate::topology::Mesh;
 use crate::weights::WeightTable;
@@ -151,11 +154,17 @@ impl BufferAwareWcttModel {
         &mut self.weights
     }
 
-    /// Replaces the buffer configuration (a single-depth design mutation);
-    /// the model has no memoised state, so subsequent bounds are identical
-    /// to a freshly-built model over the new configuration.
-    pub fn set_buffers(&mut self, buffers: BufferConfig) {
-        self.buffers = buffers;
+    /// Sets one input buffer's depth in place (a single-depth design
+    /// mutation, [`BufferConfig::set_buffer_depth`] over the model's mesh)
+    /// and returns the depth it replaced.  The model has no memoised state,
+    /// so subsequent bounds are identical to a freshly built model over the
+    /// edited configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the edit's error; the configuration is then unchanged.
+    pub fn set_buffer_depth(&mut self, node: NodeId, port: Port, depth: u32) -> Result<u32> {
+        self.buffers.set_buffer_depth(&self.mesh, node, port, depth)
     }
 
     /// The paper-form / backpressured reference model over the same weights
@@ -164,29 +173,21 @@ impl BufferAwareWcttModel {
         WeightedWcttModel::new(self.weights.clone(), self.timing, self.slice_flits)
     }
 
-    /// Per-hop dilated round factors: the suffix maximum `O*` of the
-    /// per-output flow counts from each hop to the destination.
-    fn suffix_rounds(&self, route: &Route) -> Vec<(u64, u64)> {
-        let hops = route.hops();
-        let mut out = vec![(0u64, 0u64); hops.len()];
-        let mut suffix_max = 1u64;
-        for (index, hop) in hops.iter().enumerate().rev() {
-            let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
-            suffix_max = suffix_max.max(flows);
-            out[index] = (flows, suffix_max);
-        }
-        out
-    }
-
     /// WCTT bound for a single `m`-flit packet (slice) following `route`
     /// through the configured buffers.
     pub fn packet_wctt(&self, route: &Route) -> u64 {
         let timing = self.timing;
         let m = u64::from(self.slice_flits);
+        // One pass from the destination back, carrying the suffix maximum
+        // `O*` of the per-output flow counts (the hop's dilated round); the
+        // sum is order-independent.
+        let mut suffix_max = 1u64;
         let mut total = 0u64;
-        for (hop, (flows, dilated)) in route.hops().iter().zip(self.suffix_rounds(route)) {
+        for hop in route.hops().iter().rev() {
+            let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
+            suffix_max = suffix_max.max(flows);
             // excess = O*·m − (O − 1)·m: the backpressure cost of the hop.
-            let excess = (dilated - (flows - 1)) * m;
+            let excess = (suffix_max - (flows - 1)) * m;
             let depth = u64::from(
                 self.buffers
                     .hop_depth(&self.mesh, hop.router, hop.input, hop.output)

@@ -14,34 +14,44 @@
 //!
 //! # Invalidation
 //!
-//! Terms are keyed by flow and carry two read sets, maintained as reverse
-//! indexes:
+//! Terms are keyed by flow and carry two read sets, maintained as dense
+//! reverse indexes:
 //!
 //! * **contention keys** — the `(router, output)` column of every hop of the
 //!   flow's route.  Every read any analysis performs against the flow counts
-//!   happens inside these columns, so a flow's terms survive a mutation whose
-//!   change events miss its key set;
+//!   happens inside these columns: under round robin the column's pair
+//!   *support* (the regular recursion and the slot contender count read
+//!   counts only through presence tests) and the column's memoised drain
+//!   value; under WaW the column's output flow count (the weighted bounds
+//!   read magnitudes);
 //! * **depth keys** — the `(node, input port)` buffer each hop drains into
 //!   (buffer-aware analysis only), so a single-depth mutation invalidates
 //!   only the flows whose routes actually cross that buffer.
 //!
-//! Change events come from the models themselves: under round robin,
-//! [`RegularWcttModel::apply_route_delta`] reports the columns whose pair
-//! *support* flipped plus the memoised drain terms it dropped (the regular
-//! recursion reads counts only through presence tests, so magnitude-only
-//! changes invalidate nothing); under WaW,
-//! [`crate::weights::WeightTable::apply_route_delta`] reports every output
-//! port whose flow count changed (the weighted bounds read magnitudes).
-//! Global knobs stay out of the per-flow cache entirely: the preemptive depth
-//! envelope factor is recomputed per depth mutation and applied at query
-//! time, and a VC reassignment under multiple VCs rebuilds the preemptive
-//! interference state wholesale (its interference sets can all change).
-
-use std::collections::{HashMap, HashSet};
+//! A flow-shape mutation (`MoveFlow`, `AddFlow`, `RemoveLastFlow`) takes one
+//! path: it removes and/or adds routes through every delta-maintained model,
+//! remembering what the readers of each column it touches read before the
+//! first delta, and the value of every drain
+//! [`RegularWcttModel::apply_route_delta`] drops.  Once every delta of the
+//! mutation is applied, the dropped drains that have readers are recomputed,
+//! and a column's readers are invalidated only if its support flipped, its
+//! WaW count changed, or its drain value changed — invalidation by value, so
+//! a term is recomputed only if it reads an input whose value changed.  A
+//! depth mutation edits the buffer tables in place and invalidates the depth
+//! readers of that one buffer, only if its depth changed.  Global knobs stay
+//! out of the per-flow cache entirely: the preemptive depth envelope factor
+//! is recomputed per depth mutation from a per-depth count of the buffer
+//! table and applied at query time, and a VC reassignment under multiple VCs
+//! rebuilds the preemptive interference state wholesale (its interference
+//! sets can all change).
+//!
+//! After warm-up, mutations and queries allocate nothing: routes are
+//! re-routed into their existing hop vectors, and the delta, the key sets and
+//! the reverse indexes are reused vectors.
 
 use crate::analysis::oracle::{slices, WcttBoundModel};
 use crate::analysis::preemptive::{PreemptiveOracle, SATURATION_SENTINEL};
-use crate::analysis::regular::RegularWcttModel;
+use crate::analysis::regular::{DrainKey, RegularWcttModel, RouteDelta};
 use crate::analysis::slot;
 use crate::analysis::weighted::WeightedWcttModel;
 use crate::analysis::{BufferAwareWcttModel, GraphBufferAwareWcttModel};
@@ -195,19 +205,78 @@ struct FlowTerms {
     slot_contenders: u32,
 }
 
-/// The `(node, input port)` buffer a hop's output drains into — the exact
-/// depth [`BufferConfig::hop_depth`] reads for that hop.
-fn hop_depth_key(mesh: &Mesh, hop: &Hop) -> Option<(NodeId, Port)> {
-    match hop.output {
+/// Dense index of a `(router, output)` contention column, `node · 5 +
+/// output` (the layout the regular model and the weight table share).
+fn column_index(mesh: &Mesh, router: Coord, output: Port) -> usize {
+    let node = usize::from(router.y) * usize::from(mesh.width()) + usize::from(router.x);
+    node * Port::COUNT + output.index()
+}
+
+/// Dense index, `node · 5 + port`, of the `(node, input port)` buffer a
+/// hop's output drains into — the exact depth [`BufferConfig::hop_depth`]
+/// reads for that hop.
+fn hop_depth_key(mesh: &Mesh, hop: &Hop) -> Option<u32> {
+    let (node, port) = match hop.output {
         Port::Mesh(dir) => {
             let downstream = mesh.neighbor(hop.router, dir)?;
-            let node = mesh.node_id(downstream).ok()?;
-            Some((node, Port::Mesh(dir.opposite())))
+            (mesh.node_id(downstream).ok()?, Port::Mesh(dir.opposite()))
         }
-        Port::Local => {
-            let node = mesh.node_id(hop.router).ok()?;
-            Some((node, hop.input))
+        Port::Local => (mesh.node_id(hop.router).ok()?, hop.input),
+    };
+    Some((node.index() * Port::COUNT + port.index()) as u32)
+}
+
+/// Removes flow `index` from one reverse-index entry.
+fn remove_reader(readers: &mut Vec<u32>, index: usize) {
+    if let Some(position) = readers.iter().position(|&f| f == index as u32) {
+        readers.swap_remove(position);
+    }
+}
+
+/// How many `(node, port)` entries of a buffer table hold each depth,
+/// ascending by depth: the smallest and largest depth, all the preemptive
+/// envelope factor reads of the table, without a scan.
+#[derive(Debug, Clone)]
+struct DepthCounts(Vec<(u32, usize)>);
+
+impl DepthCounts {
+    fn new(mesh: &Mesh, buffers: &BufferConfig) -> Self {
+        if let BufferConfig::Uniform { depth } = *buffers {
+            return Self(vec![(depth, mesh.router_count() * Port::COUNT)]);
         }
+        let mut counts = Self(Vec::new());
+        for node in mesh.nodes() {
+            for port in Port::ALL {
+                counts.add(buffers.depth(node, port));
+            }
+        }
+        counts
+    }
+
+    fn add(&mut self, depth: u32) {
+        match self.0.binary_search_by_key(&depth, |&(d, _)| d) {
+            Ok(at) => self.0[at].1 += 1,
+            Err(at) => self.0.insert(at, (depth, 1)),
+        }
+    }
+
+    /// Moves one buffer from depth `from` to depth `to`.
+    fn shift(&mut self, from: u32, to: u32) {
+        if let Ok(at) = self.0.binary_search_by_key(&from, |&(d, _)| d) {
+            self.0[at].1 -= 1;
+            if self.0[at].1 == 0 {
+                self.0.remove(at);
+            }
+        }
+        self.add(to);
+    }
+
+    fn min(&self) -> u32 {
+        self.0.first().map_or(1, |&(depth, _)| depth)
+    }
+
+    fn max(&self) -> u32 {
+        self.0.last().map_or(1, |&(depth, _)| depth)
     }
 }
 
@@ -258,6 +327,8 @@ pub struct IncrementalAnalysis {
     /// depends on the queried message size), so the arrival-curve knob never
     /// touches the per-flow term cache.
     graph: Option<GraphBufferAwareWcttModel>,
+    /// Per-depth count of `buffers`, kept in step by every depth mutation.
+    depth_counts: DepthCounts,
     /// The preemptive depth envelope factor of the current buffer plan,
     /// recomputed per depth mutation and applied at query time.
     depth_factor: u64,
@@ -280,10 +351,19 @@ pub struct IncrementalAnalysis {
     /// that column.  Dense by column so mutation-time invalidation never
     /// hashes.
     port_readers: Vec<Vec<u32>>,
-    /// Per-flow buffer read set (WaW / buffer-aware only).
-    depth_keys: Vec<Vec<(NodeId, Port)>>,
-    /// Reverse index of `depth_keys`.
-    depth_readers: HashMap<(NodeId, Port), HashSet<usize>>,
+    /// Per-flow buffer read set (WaW / buffer-aware only): the dense buffer
+    /// index (`node · 5 + input port`) of every hop of the flow's route.
+    depth_keys: Vec<Vec<u32>>,
+    /// Reverse index of `depth_keys`, dense by buffer (empty under round
+    /// robin, whose terms read no depth).
+    depth_readers: Vec<Vec<u32>>,
+    /// The regular model's delta of the current flow-shape mutation (empty
+    /// between mutations, kept for its capacity).
+    delta: RouteDelta,
+    /// Every column the current flow-shape mutation's deltas touch, with
+    /// what its readers read of it before the first delta
+    /// ([`IncrementalAnalysis::column_state`]); empty between mutations.
+    touched: Vec<(DrainKey, u32)>,
 }
 
 impl IncrementalAnalysis {
@@ -338,7 +418,17 @@ impl IncrementalAnalysis {
             }
         };
         let n = flows.len();
-        let columns = mesh.router_count() * Port::COUNT;
+        // Router ports: the `(router, output)` columns and the `(node, input)`
+        // buffers share the dense `node · 5 + port` index space.
+        let ports = mesh.router_count() * Port::COUNT;
+        // Only the buffer-aware terms read depths.
+        let depth_readers = vec![Vec::new(); if buffer_aware.is_some() { ports } else { 0 }];
+        let depth_counts = DepthCounts::new(&mesh, buffers);
+        let depth_factor = PreemptiveOracle::depth_envelope_factor_between(
+            config,
+            depth_counts.min(),
+            depth_counts.max(),
+        );
         let mut engine = Self {
             mesh,
             config: *config,
@@ -349,15 +439,18 @@ impl IncrementalAnalysis {
             weighted,
             buffer_aware,
             graph,
-            depth_factor: PreemptiveOracle::depth_envelope_factor(config, buffers),
+            depth_counts,
+            depth_factor,
             preemptive: None,
             preemptive_dirty: true,
             faults: FaultSet::empty(&mesh),
             cache: vec![None; n],
             flow_keys: vec![Vec::new(); n],
-            port_readers: vec![Vec::new(); columns],
+            port_readers: vec![Vec::new(); ports],
             depth_keys: vec![Vec::new(); n],
-            depth_readers: HashMap::new(),
+            depth_readers,
+            delta: RouteDelta::default(),
+            touched: Vec::new(),
         };
         for index in 0..n {
             engine.index_flow(index);
@@ -391,14 +484,16 @@ impl IncrementalAnalysis {
         self.graph.as_ref().map(GraphBufferAwareWcttModel::curve)
     }
 
-    /// Applies one design mutation, updating the contention structures by
-    /// delta and invalidating exactly the cached terms whose read sets the
-    /// change events touch.
+    /// Applies one design mutation, updating the contention structures and
+    /// buffer tables in place and invalidating exactly the cached terms that
+    /// read an input whose value changed.  A rejected mutation leaves the
+    /// engine unchanged.
     ///
     /// # Errors
     ///
     /// Returns an error on invalid endpoints, an out-of-range flow, an empty
-    /// flow set (`RemoveLastFlow`), or an invalid depth.
+    /// flow set (`RemoveLastFlow`), a node outside the mesh or a zero depth
+    /// (`SetBufferDepth`).
     pub fn apply(&mut self, mutation: &Mutation) -> Result<()> {
         if !self.faults.is_empty() {
             if let Mutation::MoveFlow { .. } | Mutation::AddFlow { .. } = mutation {
@@ -411,24 +506,25 @@ impl IncrementalAnalysis {
         }
         match *mutation {
             Mutation::MoveFlow { id, src, dst } => {
-                let old_route = self.flows.replace_pair(id, src, dst)?;
+                self.flows.check_replacement(id, src, dst)?;
                 self.unindex_flow(id.0);
-                self.apply_route_events(&old_route, false);
-                let new_route = self.flows.route(id).expect("just replaced").clone();
-                self.apply_route_events(&new_route, true);
+                self.apply_route(id.0, false);
+                self.flows
+                    .replace_pair(id, src, dst)
+                    .expect("replacement checked above");
+                self.apply_route(id.0, true);
                 self.index_flow(id.0);
                 self.cache[id.0] = None;
-                self.preemptive_dirty = true;
+                self.invalidate_changed_columns();
             }
             Mutation::AddFlow { src, dst } => {
                 let id = self.flows.push_pair(src, dst)?;
                 self.cache.push(None);
                 self.flow_keys.push(Vec::new());
                 self.depth_keys.push(Vec::new());
-                let route = self.flows.route(id).expect("just pushed").clone();
-                self.apply_route_events(&route, true);
+                self.apply_route(id.0, true);
                 self.index_flow(id.0);
-                self.preemptive_dirty = true;
+                self.invalidate_changed_columns();
             }
             Mutation::RemoveLastFlow => {
                 let index = self
@@ -439,33 +535,42 @@ impl IncrementalAnalysis {
                         reason: "cannot remove a flow from an empty set".to_string(),
                     })?;
                 self.unindex_flow(index);
-                let (_flow, route) = self.flows.pop().expect("checked non-empty");
+                self.apply_route(index, false);
+                self.flows.pop();
                 self.cache.pop();
                 self.flow_keys.pop();
                 self.depth_keys.pop();
-                self.apply_route_events(&route, false);
-                self.preemptive_dirty = true;
+                self.invalidate_changed_columns();
             }
             Mutation::SetBufferDepth { node, port, depth } => {
-                let buffers = self
+                let old = self
                     .buffers
-                    .with_buffer_depth(&self.mesh, node, port, depth);
-                buffers.validate(&self.mesh)?;
-                self.buffers = buffers;
-                if let Some(model) = &mut self.buffer_aware {
-                    model.set_buffers(self.buffers.clone());
+                    .set_buffer_depth(&self.mesh, node, port, depth)?;
+                let ba = self.buffer_aware.as_mut();
+                let graph = self.graph.as_mut().map(GraphBufferAwareWcttModel::base_mut);
+                for model in ba.into_iter().chain(graph) {
+                    model
+                        .set_buffer_depth(node, port, depth)
+                        .expect("edit checked on the engine's own table");
                 }
-                if let Some(model) = &mut self.graph {
-                    model.base_mut().set_buffers(self.buffers.clone());
-                }
-                self.depth_factor =
-                    PreemptiveOracle::depth_envelope_factor(&self.config, &self.buffers);
-                if let Some(readers) = self.depth_readers.get(&(node, port)) {
-                    for &index in readers {
-                        self.cache[index] = None;
+                if old != depth {
+                    self.depth_counts.shift(old, depth);
+                    let factor = PreemptiveOracle::depth_envelope_factor_between(
+                        &self.config,
+                        self.depth_counts.min(),
+                        self.depth_counts.max(),
+                    );
+                    // The multi-VC oracle reads the buffer plan only through
+                    // this factor.
+                    if factor != self.depth_factor {
+                        self.depth_factor = factor;
+                        self.preemptive_dirty = true;
+                    }
+                    let buffer = node.index() * Port::COUNT + port.index();
+                    for &index in self.depth_readers.get(buffer).into_iter().flatten() {
+                        self.cache[index as usize] = None;
                     }
                 }
-                self.preemptive_dirty = true;
             }
             Mutation::SetVcs(vcs) => {
                 self.vcs = vcs;
@@ -719,105 +824,110 @@ impl IncrementalAnalysis {
             .max(1)
     }
 
-    /// Dense index of a `(router, output)` contention column.
-    #[inline]
-    fn column_index(&self, router: Coord, output: Port) -> u32 {
-        let node = usize::from(router.y) * usize::from(self.mesh.width()) + usize::from(router.x);
-        (node * Port::COUNT + output.index()) as u32
-    }
-
-    /// Registers a flow's read sets in the reverse indexes.
+    /// Registers a flow's read sets in the reverse indexes, refilling its
+    /// key vectors in place.
     fn index_flow(&mut self, index: usize) {
-        let mut keys: Vec<u32> = Vec::new();
-        let mut dkeys: Vec<(NodeId, Port)> = Vec::new();
-        {
-            let route = self.flows.route(FlowId(index)).expect("indexed flow");
-            for hop in route.hops() {
-                let column = self.column_index(hop.router, hop.output);
-                if !keys.contains(&column) {
-                    keys.push(column);
-                }
-            }
-            if self.buffer_aware.is_some() {
-                for hop in route.hops() {
-                    if let Some(key) = hop_depth_key(&self.mesh, hop) {
-                        if !dkeys.contains(&key) {
-                            dkeys.push(key);
-                        }
-                    }
-                }
+        let route = self.flows.route(FlowId(index)).expect("indexed flow");
+        let keys = &mut self.flow_keys[index];
+        keys.clear();
+        for hop in route.hops() {
+            let column = column_index(&self.mesh, hop.router, hop.output) as u32;
+            if !keys.contains(&column) {
+                keys.push(column);
             }
         }
-        for &column in &keys {
+        for &column in keys.iter() {
             self.port_readers[column as usize].push(index as u32);
         }
-        self.flow_keys[index] = keys;
-        for &key in &dkeys {
-            self.depth_readers.entry(key).or_default().insert(index);
+        if self.buffer_aware.is_some() {
+            let keys = &mut self.depth_keys[index];
+            keys.clear();
+            for key in route
+                .hops()
+                .iter()
+                .filter_map(|hop| hop_depth_key(&self.mesh, hop))
+            {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            for &key in keys.iter() {
+                self.depth_readers[key as usize].push(index as u32);
+            }
         }
-        self.depth_keys[index] = dkeys;
     }
 
     /// Removes a flow's read sets from the reverse indexes.
     fn unindex_flow(&mut self, index: usize) {
-        let keys = std::mem::take(&mut self.flow_keys[index]);
-        for &column in &keys {
-            let readers = &mut self.port_readers[column as usize];
-            if let Some(position) = readers.iter().position(|&f| f == index as u32) {
-                readers.swap_remove(position);
-            }
+        for &column in &self.flow_keys[index] {
+            remove_reader(&mut self.port_readers[column as usize], index);
         }
-        for key in &self.depth_keys[index] {
-            if let Some(readers) = self.depth_readers.get_mut(key) {
-                readers.remove(&index);
-            }
+        for &key in &self.depth_keys[index] {
+            remove_reader(&mut self.depth_readers[key as usize], index);
         }
-        self.depth_keys[index].clear();
     }
 
-    /// Feeds one route add/remove through every delta-maintained structure
-    /// and invalidates the cached terms of the flows whose read sets the
-    /// resulting change events touch.
-    fn apply_route_events(&mut self, route: &crate::routing::Route, add: bool) {
-        let delta = self
-            .regular
-            .as_mut()
-            .map(|model| model.apply_route_delta(route, add));
-        let changed = self
-            .weighted
-            .as_mut()
-            .map(|model| model.weights_mut().apply_route_delta(route, add));
+    /// What the cached terms read of the `(router, output)` column: its
+    /// pair support under round robin, its output flow count under WaW.
+    fn column_state(&self, router: Coord, output: Port) -> u32 {
+        match (&self.regular, &self.weighted) {
+            (Some(model), _) => model.column_support(router, output),
+            (None, Some(model)) => model.weights().output_flows(router, output),
+            (None, None) => 0,
+        }
+    }
+
+    /// Adds (`add`) or removes the route of flow `index` through every
+    /// delta-maintained model, first remembering the state of each column it
+    /// touches that no earlier delta of this mutation touched.
+    fn apply_route(&mut self, index: usize, add: bool) {
+        let route = self.flows.route(FlowId(index)).expect("indexed flow");
+        for hop in route.hops() {
+            let key = (hop.router, hop.output);
+            if !self.touched.iter().any(|&(touched, _)| touched == key) {
+                let state = self.column_state(hop.router, hop.output);
+                self.touched.push((key, state));
+            }
+        }
+        if let Some(model) = &mut self.regular {
+            model.apply_route_delta(route, add, &mut self.delta);
+        }
+        if let Some(model) = &mut self.weighted {
+            model.weights_mut().apply_route_delta(route, add);
+        }
         if let Some(model) = &mut self.buffer_aware {
             model.weights_mut().apply_route_delta(route, add);
         }
         if let Some(model) = &mut self.graph {
             model.base_mut().weights_mut().apply_route_delta(route, add);
         }
-        let mut events: Vec<u32> = Vec::new();
-        let push_event = |events: &mut Vec<u32>, column: u32| {
-            if !events.contains(&column) {
-                events.push(column);
-            }
-        };
-        if let Some(delta) = &delta {
-            for &(router, output) in delta
-                .flipped_columns
-                .iter()
-                .chain(delta.dropped_drains.iter())
-            {
-                push_event(&mut events, self.column_index(router, output));
-            }
-        }
-        if let Some(changed) = &changed {
-            for &(router, output) in changed {
-                push_event(&mut events, self.column_index(router, output));
+    }
+
+    /// Ends a flow-shape mutation once all its deltas are applied: recomputes
+    /// the dropped drains that have readers, invalidates the readers of every
+    /// column whose drain value or state changed, and empties the scratch.
+    /// Also marks the multi-VC preemptive state for rebuild.
+    fn invalidate_changed_columns(&mut self) {
+        if let Some(model) = &mut self.regular {
+            for &((router, output), before) in &self.delta.dropped_drains {
+                let readers = &self.port_readers[column_index(&self.mesh, router, output)];
+                if !readers.is_empty() && model.drain_time(router, output) != before {
+                    for &index in readers {
+                        self.cache[index as usize] = None;
+                    }
+                }
             }
         }
-        for &column in &events {
-            for &index in &self.port_readers[column as usize] {
-                self.cache[index as usize] = None;
+        for &((router, output), before) in &self.touched {
+            if self.column_state(router, output) != before {
+                for &index in &self.port_readers[column_index(&self.mesh, router, output)] {
+                    self.cache[index as usize] = None;
+                }
             }
         }
+        self.delta.clear();
+        self.touched.clear();
+        self.preemptive_dirty = true;
     }
 
     /// The cached terms of flow `index`, recomputing them from the live
@@ -1033,6 +1143,76 @@ mod tests {
         }
     }
 
+    /// Four flows on a 4×4 mesh: F runs east along row 0 behind contender
+    /// K, so its bound reads the drain at (1,0) East, whose maximum also
+    /// covers H's southbound branch at (2,0); G is the flow the tests move.
+    fn branch_platform(mesh: &Mesh, g: (NodeId, NodeId)) -> FlowSet {
+        let node = |x, y| mesh.node_id(Coord::new(x, y)).unwrap();
+        let pairs = [
+            (node(1, 0), node(3, 0)),
+            (node(0, 0), node(3, 0)),
+            (node(0, 0), node(2, 3)),
+            g,
+        ];
+        FlowSet::from_pairs(mesh, pairs).unwrap()
+    }
+
+    #[test]
+    fn a_changed_drain_value_invalidates_readers_off_the_changed_route() {
+        // Moving G onto column 2 adds a contender to H's branch only: no
+        // column of F's route changes support, yet F's drain value — and so
+        // its bound — changes, and only the drain's value says so.
+        let config = NocConfig::regular(4);
+        let mesh = Mesh::square(4).unwrap();
+        let node = |x, y| mesh.node_id(Coord::new(x, y)).unwrap();
+        let flows = branch_platform(&mesh, (node(0, 3), node(0, 2)));
+        let buffers = BufferConfig::uniform(config.input_buffer_flits);
+        let mut engine =
+            IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
+        check_against_suite(&mut engine);
+        let before = engine.packet_bound(Analysis::Regular, FlowId(0), 4);
+        engine
+            .apply(&Mutation::MoveFlow {
+                id: FlowId(3),
+                src: node(1, 1),
+                dst: node(2, 3),
+            })
+            .unwrap();
+        check_against_suite(&mut engine);
+        assert_ne!(engine.packet_bound(Analysis::Regular, FlowId(0), 4), before);
+    }
+
+    #[test]
+    fn a_move_onto_the_same_route_keeps_every_other_term() {
+        let mesh = Mesh::square(4).unwrap();
+        let g = (
+            mesh.node_id(Coord::new(1, 1)).unwrap(),
+            mesh.node_id(Coord::new(2, 3)).unwrap(),
+        );
+        let flows = branch_platform(&mesh, g);
+        for config in [NocConfig::regular(4), NocConfig::waw_wap()] {
+            let buffers = BufferConfig::uniform(config.input_buffer_flits);
+            let mut engine =
+                IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
+            check_against_suite(&mut engine);
+            // G alone supports its first two hops: taking its route out flips
+            // them and, under round robin, drops the drains F and K read;
+            // putting it back restores every value, so nothing else is
+            // recomputed.
+            engine
+                .apply(&Mutation::MoveFlow {
+                    id: FlowId(3),
+                    src: g.0,
+                    dst: g.1,
+                })
+                .unwrap();
+            for index in 0..3 {
+                assert!(engine.cache[index].is_some(), "{config:?}: flow {index}");
+            }
+            check_against_suite(&mut engine);
+        }
+    }
+
     #[test]
     fn vc_mutations_match_suite_including_saturation() {
         let config = NocConfig::regular(4);
@@ -1197,6 +1377,94 @@ mod tests {
             .is_err());
         // A failed validation leaves the engine untouched.
         check_against_suite(&mut engine);
+    }
+
+    #[test]
+    fn depth_mutations_validate_the_node_and_the_depth() {
+        let config = NocConfig::regular(4);
+        let (_mesh, flows) = setup(4);
+        let buffers = BufferConfig::uniform(config.input_buffer_flits);
+        let mut engine =
+            IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
+        let outside = NodeId(99);
+        let error = engine
+            .apply(&Mutation::SetBufferDepth {
+                node: outside,
+                port: Port::Local,
+                depth: 8,
+            })
+            .unwrap_err();
+        // The same error a move to that node reports.
+        let move_error = engine
+            .apply(&Mutation::MoveFlow {
+                id: FlowId(0),
+                src: outside,
+                dst: NodeId(0),
+            })
+            .unwrap_err();
+        assert_eq!(error, move_error);
+        assert_eq!(
+            error,
+            Error::NodeOutOfBounds {
+                node: outside,
+                count: 16
+            }
+        );
+        assert!(engine
+            .apply(&Mutation::SetBufferDepth {
+                node: NodeId(3),
+                port: Port::Local,
+                depth: 0,
+            })
+            .is_err());
+        // Neither rejected edit touched the table.
+        assert_eq!(engine.buffers(), &buffers);
+        check_against_suite(&mut engine);
+    }
+
+    #[test]
+    fn rejected_moves_leave_every_bound_unchanged() {
+        for config in [NocConfig::regular(4), NocConfig::waw_wap()] {
+            let (mesh, flows) = setup(4);
+            let buffers = BufferConfig::uniform(config.input_buffer_flits);
+            let mut engine =
+                IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
+            let analyses = [
+                Analysis::Regular,
+                Analysis::Ubd,
+                Analysis::Preemptive,
+                Analysis::Slot,
+                Analysis::Weighted,
+                Analysis::WeightedBp,
+                Analysis::BufferAware,
+                Analysis::GraphBufferAware,
+            ];
+            let bounds = |engine: &mut IncrementalAnalysis| {
+                let mut all = Vec::new();
+                for analysis in analyses {
+                    for index in 0..engine.flows().len() {
+                        for size in [1u32, 4, 9] {
+                            all.push(engine.packet_bound(analysis, FlowId(index), size));
+                            all.push(engine.message_bound(analysis, FlowId(index), size));
+                        }
+                    }
+                }
+                all
+            };
+            let before = bounds(&mut engine);
+            let corner = mesh.node_id(Coord::from_row_col(3, 3)).unwrap();
+            for (id, src, dst) in [
+                (FlowId(2), corner, corner),
+                (FlowId(2), corner, NodeId(16)),
+                (FlowId(2), NodeId(16), corner),
+                (FlowId(flows.len()), corner, NodeId(0)),
+            ] {
+                assert!(engine.apply(&Mutation::MoveFlow { id, src, dst }).is_err());
+                assert_eq!(engine.flows().pairs(), flows.pairs());
+                assert_eq!(bounds(&mut engine), before);
+            }
+            check_against_suite(&mut engine);
+        }
     }
 
     #[test]

@@ -167,9 +167,20 @@ impl PreemptiveOracle {
     /// deep-FIFO cross-traffic trains above it (16× at depth 64 — campaigns
     /// observed up to 3.2×).
     pub fn depth_envelope_factor(config: &NocConfig, buffers: &BufferConfig) -> u64 {
+        Self::depth_envelope_factor_between(config, buffers.min_depth(), buffers.max_depth())
+    }
+
+    /// [`PreemptiveOracle::depth_envelope_factor`] of any buffer plan whose
+    /// smallest depth is `min_depth` and largest `max_depth`: the factor
+    /// reads nothing else of the plan.
+    pub fn depth_envelope_factor_between(
+        config: &NocConfig,
+        min_depth: u32,
+        max_depth: u32,
+    ) -> u64 {
         let calibration = u64::from(config.input_buffer_flits.max(1));
-        let min = u64::from(buffers.min_depth().max(1));
-        let max = u64::from(buffers.max_depth().max(1));
+        let min = u64::from(min_depth.max(1));
+        let max = u64::from(max_depth.max(1));
         let shallow = if min < calibration {
             calibration.div_ceil(min)
         } else {

@@ -54,24 +54,37 @@ use crate::topology::Mesh;
 /// `(router, *, output)` of a single such column).
 pub type DrainKey = (Coord, Port);
 
-/// What one incremental contention update changed, as reported by
-/// [`RegularWcttModel::apply_route_delta`].
+/// What incremental contention updates changed, as filled in by
+/// [`RegularWcttModel::apply_route_delta`].  The caller owns it: every delta
+/// appends, so the deltas of one design change (a flow's old route out, its
+/// new route in) accumulate until [`RouteDelta::clear`].
 ///
-/// A cached per-flow bound computed from this model stays valid exactly when
-/// the flow's read set — the `(router, output)` column of every hop of its
-/// route — intersects neither list.
+/// A cached per-flow bound computed from this model reads, at each hop
+/// column `(router, output)` of its route, the column's pair support and the
+/// column's drain value.  It stays valid when neither changed value.
 #[derive(Debug, Clone, Default)]
 pub struct RouteDelta {
-    /// Columns whose pair-count *support* flipped between zero and non-zero.
-    /// The model's arithmetic only ever reads counts through presence tests,
-    /// so magnitude-only changes (2 flows → 3 flows on a triple) leave every
-    /// term untouched and appear in neither list.
-    pub flipped_columns: Vec<DrainKey>,
-    /// Memoised drain terms dropped by the invalidation closure: the terms
+    /// `(router, input, output)` triples whose pair-count *support* flipped
+    /// between zero and non-zero, once per flip.  The model's arithmetic only
+    /// ever reads counts through presence tests, so magnitude-only changes
+    /// (2 flows → 3 flows on a triple) leave every term untouched and appear
+    /// in neither list.
+    pub flipped_pairs: Vec<(Coord, Port, Port)>,
+    /// Memoised drain terms dropped by the invalidation closure — the terms
     /// whose recorded reads a flipped pair can affect, plus (transitively)
-    /// every term that embedded one of those.  They are recomputed lazily on
-    /// next use.
-    pub dropped_drains: Vec<DrainKey>,
+    /// every term that embedded one of those — each with the value it held
+    /// when dropped.  A term is dropped at most once before it is next
+    /// recomputed, so across accumulated deltas the value is the one from
+    /// before the first of them; recomputing it shows whether it changed.
+    pub dropped_drains: Vec<(DrainKey, u64)>,
+}
+
+impl RouteDelta {
+    /// Empties both lists, keeping their capacity.
+    pub fn clear(&mut self) {
+        self.flipped_pairs.clear();
+        self.dropped_drains.clear();
+    }
 }
 
 /// Memoised evaluator of the chained-blocking WCTT bound for a regular
@@ -167,14 +180,22 @@ impl RegularWcttModel {
         self.pair_flows[self.pair_index(router, input, output)]
     }
 
+    /// The input ports carrying at least one flow towards `output` at
+    /// `router`, as a mask over [`Port::index`] — everything the bounds read
+    /// of the `(router, output)` column's pair counts.
+    pub fn column_support(&self, router: Coord, output: Port) -> u32 {
+        Port::ALL
+            .iter()
+            .filter(|&&p| self.pair_flows(router, p, output) > 0)
+            .fold(0, |mask, p| mask | 1 << p.index())
+    }
+
     /// Number of input ports other than `input` that carry at least one flow
     /// towards `output` at `router` — the contenders a packet entering through
     /// `input` can find requesting the same output.
     pub fn contender_count(&self, router: Coord, input: Port, output: Port) -> u32 {
-        Port::ALL
-            .iter()
-            .filter(|&&p| p != input && p != output && self.pair_flows(router, p, output) > 0)
-            .count() as u32
+        let others = !(1 << input.index() | 1 << output.index());
+        (self.column_support(router, output) & others).count_ones()
     }
 
     /// Worst-case time for one granted maximum-size contender packet to
@@ -215,8 +236,9 @@ impl RegularWcttModel {
     }
 
     /// Applies one route's hops to the contention map (`add` inserts the
-    /// flow, `!add` removes a previously-added one) and drops exactly the
-    /// memoised drain terms whose reads the change can affect.
+    /// flow, `!add` removes a previously-added one), drops exactly the
+    /// memoised drain terms whose reads the change can affect, and appends
+    /// both to `delta`.
     ///
     /// Which terms a contention triple can reach is static: the drain at
     /// `(r, Mesh(dir))` reads only triples of its downstream neighbour
@@ -231,9 +253,8 @@ impl RegularWcttModel {
     /// constructed over the mutated flow set: a surviving memo entry read
     /// only supports and child terms that provably did not change, and
     /// dropped entries are recomputed from scratch on demand.
-    pub fn apply_route_delta(&mut self, route: &Route, add: bool) -> RouteDelta {
-        let mut delta = RouteDelta::default();
-        let mut flipped_pairs: Vec<(Coord, Port, Port)> = Vec::new();
+    pub fn apply_route_delta(&mut self, route: &Route, add: bool, delta: &mut RouteDelta) {
+        let first = delta.flipped_pairs.len();
         for hop in route.hops() {
             let idx = self.pair_index(hop.router, hop.input, hop.output);
             let before = self.pair_flows[idx];
@@ -245,14 +266,13 @@ impl RegularWcttModel {
             };
             self.pair_flows[idx] = after;
             if (before == 0) != (after == 0) {
-                flipped_pairs.push((hop.router, hop.input, hop.output));
-                let column = (hop.router, hop.output);
-                if !delta.flipped_columns.contains(&column) {
-                    delta.flipped_columns.push(column);
-                }
+                delta
+                    .flipped_pairs
+                    .push((hop.router, hop.input, hop.output));
             }
         }
-        for &(router, input, output) in &flipped_pairs {
+        for index in first..delta.flipped_pairs.len() {
+            let (router, input, output) = delta.flipped_pairs[index];
             // The one drain whose presence tests touch this triple directly:
             // the neighbour drain arriving through `input`.  (A local input
             // is never an arrival port, so it has no direct reader.)
@@ -283,19 +303,18 @@ impl RegularWcttModel {
                 }
             }
         }
-        delta
     }
 
-    /// Drops one memoised drain term and recursively drops every term that
-    /// embedded its value: the neighbour drains whose arrival row supports
-    /// this term's output.  The memo entry doubles as the visited marker, so
-    /// the walk touches each live term at most once.
-    fn invalidate_drain(&mut self, key: DrainKey, dropped: &mut Vec<DrainKey>) {
+    /// Drops one memoised drain term, recording its value, and recursively
+    /// drops every term that embedded it: the neighbour drains whose arrival
+    /// row supports this term's output.  The memo entry doubles as the
+    /// visited marker, so the walk touches each live term at most once.
+    fn invalidate_drain(&mut self, key: DrainKey, dropped: &mut Vec<(DrainKey, u64)>) {
         let di = self.drain_index(key.0, key.1);
-        if self.drain_memo[di].take().is_none() {
+        let Some(value) = self.drain_memo[di].take() else {
             return;
-        }
-        dropped.push(key);
+        };
+        dropped.push((key, value));
         let (router, output) = key;
         for d in Direction::ALL {
             if self.pair_flows(router, Port::Mesh(d), output) == 0 {
@@ -530,19 +549,42 @@ mod tests {
         }
         let mut reduced = flows.clone();
         let (_flow, removed_route) = reduced.pop().unwrap();
-        tracked.apply_route_delta(&removed_route, false);
+        let mut delta = RouteDelta::default();
+        tracked.apply_route_delta(&removed_route, false, &mut delta);
         let mut fresh = RegularWcttModel::new(&reduced, RouterTiming::CANONICAL, 4);
         for id in (0..reduced.len()).map(crate::flow::FlowId) {
             let r = reduced.route(id).unwrap().clone();
             assert_eq!(tracked.route_wctt(&r, 4), fresh.route_wctt(&r, 4));
         }
         // Re-adding the flow restores the original bounds bit-for-bit.
-        tracked.apply_route_delta(&removed_route, true);
+        tracked.apply_route_delta(&removed_route, true, &mut delta);
         let mut original = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
             assert_eq!(tracked.route_wctt(&r, 4), original.route_wctt(&r, 4));
         }
+    }
+
+    #[test]
+    fn dropped_drains_carry_their_values_from_before_the_delta() {
+        let (_mesh, flows) = all_to_memory(5);
+        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        for id in (0..flows.len()).map(crate::flow::FlowId) {
+            let r = flows.route(id).unwrap().clone();
+            tracked.route_wctt(&r, 4);
+        }
+        let mut reduced = flows.clone();
+        let (_flow, removed_route) = reduced.pop().unwrap();
+        let mut delta = RouteDelta::default();
+        tracked.apply_route_delta(&removed_route, false, &mut delta);
+        assert!(!delta.flipped_pairs.is_empty());
+        assert!(!delta.dropped_drains.is_empty());
+        let mut original = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        for &((router, output), value) in &delta.dropped_drains {
+            assert_eq!(value, original.drain_time(router, output));
+        }
+        delta.clear();
+        assert!(delta.flipped_pairs.is_empty() && delta.dropped_drains.is_empty());
     }
 
     #[test]
@@ -553,8 +595,9 @@ mod tests {
         // Duplicating an existing flow only raises counts on triples that
         // already have support: nothing flips, so no term is dropped.
         let duplicate = route(&mesh, (3, 1), (0, 0));
-        let delta = tracked.apply_route_delta(&duplicate, true);
-        assert!(delta.flipped_columns.is_empty());
+        let mut delta = RouteDelta::default();
+        tracked.apply_route_delta(&duplicate, true, &mut delta);
+        assert!(delta.flipped_pairs.is_empty());
         assert!(delta.dropped_drains.is_empty());
     }
 

@@ -158,17 +158,14 @@ impl WeightedWcttModel {
     pub fn backpressured_packet_wctt(&self, route: &Route) -> u64 {
         let timing = self.timing;
         let m = u64::from(self.slice_flits);
-        let hops = route.hops();
-        let mut dilated_rounds = vec![0u64; hops.len()];
+        // One pass from the destination back: the suffix maximum is the
+        // dilated round of each hop, and the sum is order-independent.
         let mut suffix_max = 1u64;
-        for (index, hop) in hops.iter().enumerate().rev() {
+        let mut total = 0u64;
+        for hop in route.hops().iter().rev() {
             let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
             suffix_max = suffix_max.max(flows);
-            dilated_rounds[index] = suffix_max;
-        }
-        let mut total = 0u64;
-        for round in dilated_rounds {
-            total += u64::from(timing.router_cycles) + round * m;
+            total += u64::from(timing.router_cycles) + suffix_max * m;
         }
         total
             + u64::from(timing.link_cycles) * u64::from(route.hop_count())

@@ -137,23 +137,62 @@ impl BufferConfig {
         }
     }
 
-    /// A copy (in [`BufferConfig::PerPort`] form) with the single buffer at
-    /// `(node, port)` set to `depth`, every other buffer unchanged.  `mesh`
-    /// supplies the router count for the expansion.
-    pub fn with_buffer_depth(&self, mesh: &Mesh, node: NodeId, port: Port, depth: u32) -> Self {
-        let mut depths: Vec<[u32; Port::COUNT]> = (0..mesh.router_count())
-            .map(|index| {
-                let mut row = [1; Port::COUNT];
-                for p in Port::ALL {
-                    row[p.index()] = self.depth(NodeId(index), p);
-                }
-                row
-            })
-            .collect();
-        if let Some(row) = depths.get_mut(node.index()) {
-            row[port.index()] = depth;
+    /// Sets the single buffer at `(node, port)` to `depth` flits in place and
+    /// returns the depth it replaced; every other buffer keeps its depth.  A
+    /// uniform or per-router table is first expanded to
+    /// [`BufferConfig::PerPort`] form over `mesh`'s routers (once: a per-port
+    /// table is edited in constant time).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NodeOutOfBounds`] for a node outside `mesh` and
+    /// [`Error::InvalidConfig`] for a zero depth; the table is left
+    /// unchanged.
+    pub fn set_buffer_depth(
+        &mut self,
+        mesh: &Mesh,
+        node: NodeId,
+        port: Port,
+        depth: u32,
+    ) -> Result<u32> {
+        mesh.coord_of(node)?;
+        if depth == 0 {
+            return Err(Error::InvalidConfig {
+                reason: "input buffers must hold at least one flit".to_string(),
+            });
         }
-        BufferConfig::PerPort { depths }
+        if !matches!(self, BufferConfig::PerPort { .. }) {
+            let depths = (0..mesh.router_count())
+                .map(|index| Port::ALL.map(|p| self.depth(NodeId(index), p)))
+                .collect();
+            *self = BufferConfig::PerPort { depths };
+        }
+        let BufferConfig::PerPort { depths } = self else {
+            unreachable!("expanded to per-port form above");
+        };
+        let slot = depths
+            .get_mut(node.index())
+            .map(|row| &mut row[port.index()])
+            .ok_or(Error::NodeOutOfBounds {
+                node,
+                count: mesh.router_count(),
+            })?;
+        Ok(std::mem::replace(slot, depth))
+    }
+
+    /// A copy (in [`BufferConfig::PerPort`] form) with the single buffer at
+    /// `(node, port)` set to `depth`, every other buffer unchanged: a clone
+    /// plus [`BufferConfig::set_buffer_depth`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` lies outside `mesh` or `depth` is zero.
+    pub fn with_buffer_depth(&self, mesh: &Mesh, node: NodeId, port: Port, depth: u32) -> Self {
+        let mut buffers = self.clone();
+        if let Err(error) = buffers.set_buffer_depth(mesh, node, port, depth) {
+            panic!("cannot set buffer ({node}, {port}) to {depth} flits: {error}");
+        }
+        buffers
     }
 
     /// Validates the configuration against `mesh`: every depth at least one
@@ -339,6 +378,52 @@ mod tests {
         assert_eq!(deepened.depth(NodeId(1), Port::Mesh(Direction::West)), 2);
         assert_eq!(deepened.depth(NodeId(0), Port::Local), 2);
         assert!(deepened.validate(&mesh).is_ok());
+    }
+
+    #[test]
+    fn in_place_edit_matches_a_hand_written_per_port_table() {
+        let mesh = Mesh::square(2).unwrap();
+        let mut cfg = BufferConfig::PerRouter {
+            depths: vec![1, 2, 3, 4],
+        };
+        let north = Port::Mesh(Direction::North);
+        assert_eq!(cfg.set_buffer_depth(&mesh, NodeId(2), north, 9), Ok(3));
+        assert_eq!(
+            cfg.set_buffer_depth(&mesh, NodeId(0), Port::Local, 5),
+            Ok(1)
+        );
+        // Rows list North, South, East, West, Local (`Port::index` order).
+        let expected = BufferConfig::PerPort {
+            depths: vec![
+                [1, 1, 1, 1, 5],
+                [2, 2, 2, 2, 2],
+                [9, 3, 3, 3, 3],
+                [4, 4, 4, 4, 4],
+            ],
+        };
+        assert_eq!(cfg, expected);
+        // Rejected edits leave the table as it was.
+        assert_eq!(
+            cfg.set_buffer_depth(&mesh, NodeId(4), north, 2),
+            Err(Error::NodeOutOfBounds {
+                node: NodeId(4),
+                count: 4
+            })
+        );
+        assert!(cfg.set_buffer_depth(&mesh, NodeId(1), north, 0).is_err());
+        assert_eq!(cfg, expected);
+        // The copying form is a clone plus the same edit.
+        assert_eq!(
+            BufferConfig::uniform(2).with_buffer_depth(&mesh, NodeId(3), Port::Local, 7),
+            BufferConfig::PerPort {
+                depths: vec![
+                    [2, 2, 2, 2, 2],
+                    [2, 2, 2, 2, 2],
+                    [2, 2, 2, 2, 2],
+                    [2, 2, 2, 2, 7],
+                ],
+            }
+        );
     }
 
     #[test]

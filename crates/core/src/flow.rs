@@ -325,9 +325,7 @@ impl FlowSet {
     ///
     /// Returns an error if `src == dst` or either node lies outside the mesh.
     pub fn push_pair(&mut self, src: NodeId, dst: NodeId) -> Result<FlowId> {
-        let flow = Flow::new(src, dst)?;
-        let src_c = self.mesh.coord_of(src)?;
-        let dst_c = self.mesh.coord_of(dst)?;
+        let (flow, src_c, dst_c) = self.endpoints(src, dst)?;
         let route = XyRouting.route(&self.mesh, src_c, dst_c)?;
         self.flows.push(flow);
         self.routes.push(route);
@@ -342,27 +340,48 @@ impl FlowSet {
         Some((flow, route))
     }
 
-    /// Replaces the flow at `id` with `(src, dst)`, re-routing it with XY
-    /// routing, and returns the route the flow previously followed.  Every
-    /// other flow keeps its id: the resulting set is identical to rebuilding
-    /// via [`FlowSet::from_pairs`] with the pair swapped in place.
+    /// The flow `(src, dst)` and the coordinates of its endpoints.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `src == dst` or either node lies outside the mesh.
+    fn endpoints(&self, src: NodeId, dst: NodeId) -> Result<(Flow, Coord, Coord)> {
+        let flow = Flow::new(src, dst)?;
+        Ok((flow, self.mesh.coord_of(src)?, self.mesh.coord_of(dst)?))
+    }
+
+    /// Checks that flow `id` may be re-targeted to `(src, dst)`: exactly the
+    /// validation [`FlowSet::replace_pair`] performs before it changes
+    /// anything.
     ///
     /// # Errors
     ///
     /// Returns an error if `id` is out of range, `src == dst`, or either node
     /// lies outside the mesh.
-    pub fn replace_pair(&mut self, id: FlowId, src: NodeId, dst: NodeId) -> Result<Route> {
+    pub fn check_replacement(&self, id: FlowId, src: NodeId, dst: NodeId) -> Result<()> {
         if id.0 >= self.flows.len() {
             return Err(Error::InvalidConfig {
                 reason: format!("flow {id} out of range (set holds {})", self.flows.len()),
             });
         }
-        let flow = Flow::new(src, dst)?;
-        let src_c = self.mesh.coord_of(src)?;
-        let dst_c = self.mesh.coord_of(dst)?;
-        let route = XyRouting.route(&self.mesh, src_c, dst_c)?;
+        self.endpoints(src, dst).map(|_| ())
+    }
+
+    /// Replaces the flow at `id` with `(src, dst)`, re-routing it with XY
+    /// routing into the flow's existing hop vector.  Every other flow keeps
+    /// its id: the resulting set is identical to rebuilding via
+    /// [`FlowSet::from_pairs`] with the pair swapped in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`FlowSet::check_replacement`]; the set is then
+    /// left unchanged.
+    pub fn replace_pair(&mut self, id: FlowId, src: NodeId, dst: NodeId) -> Result<()> {
+        self.check_replacement(id, src, dst)?;
+        let (flow, src_c, dst_c) = self.endpoints(src, dst)?;
+        XyRouting.route_into(&self.mesh, src_c, dst_c, &mut self.routes[id.0])?;
         self.flows[id.0] = flow;
-        Ok(std::mem::replace(&mut self.routes[id.0], route))
+        Ok(())
     }
 }
 

@@ -114,10 +114,35 @@ pub trait RoutingAlgorithm: Send + Sync {
     ///
     /// Returns [`Error::InvalidRoute`] if either coordinate is outside the mesh.
     fn route(&self, mesh: &Mesh, src: Coord, dst: Coord) -> Result<Route> {
+        let mut route = Route {
+            src,
+            dst,
+            hops: Vec::new(),
+        };
+        self.route_into(mesh, src, dst, &mut route)?;
+        Ok(route)
+    }
+
+    /// Overwrites `route` with the route from `src` to `dst`, reusing its
+    /// hop vector: re-routing a flow allocates only when the new route is
+    /// longer than any the vector held before.  The vector is sized from the
+    /// Manhattan distance up front, which is exact for a minimal algorithm
+    /// such as XY.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidRoute`] if either coordinate is outside the
+    /// mesh; `route` is then left unchanged.  An algorithm that fails part
+    /// way leaves `route` unspecified.
+    fn route_into(&self, mesh: &Mesh, src: Coord, dst: Coord, route: &mut Route) -> Result<()> {
         if !mesh.contains(src) || !mesh.contains(dst) {
             return Err(Error::InvalidRoute { src, dst });
         }
-        let mut hops = Vec::new();
+        route.src = src;
+        route.dst = dst;
+        let hops = &mut route.hops;
+        hops.clear();
+        hops.reserve(src.manhattan_distance(dst) as usize + 1);
         let mut at = src;
         let mut input = Port::Local;
         // A minimal route can visit at most width + height routers; guard against
@@ -131,9 +156,7 @@ pub trait RoutingAlgorithm: Send + Sync {
                 output,
             });
             match output {
-                Port::Local => {
-                    return Ok(Route { src, dst, hops });
-                }
+                Port::Local => return Ok(()),
                 Port::Mesh(dir) => {
                     let next = mesh
                         .neighbor(at, dir)
@@ -306,6 +329,33 @@ mod tests {
             assert_eq!(m.neighbor(pair[0].router, out_dir), Some(pair[1].router));
             assert_eq!(pair[1].input, Port::Mesh(out_dir.opposite()));
         }
+    }
+
+    #[test]
+    fn route_into_reuses_the_hop_vector() {
+        let m = mesh4();
+        let mut route = XyRouting
+            .route(&m, Coord::new(3, 3), Coord::new(0, 0))
+            .unwrap();
+        // XY routes are sized exactly from the Manhattan distance.
+        assert_eq!(route.hops.capacity(), route.hops.len());
+        let capacity = route.hops.capacity();
+        XyRouting
+            .route_into(&m, Coord::new(1, 0), Coord::new(0, 2), &mut route)
+            .unwrap();
+        assert_eq!(
+            route,
+            XyRouting
+                .route(&m, Coord::new(1, 0), Coord::new(0, 2))
+                .unwrap()
+        );
+        assert_eq!(route.hops.capacity(), capacity);
+        // A rejected re-route leaves the route as it was.
+        let before = route.clone();
+        assert!(XyRouting
+            .route_into(&m, Coord::new(0, 0), Coord::new(7, 7), &mut route)
+            .is_err());
+        assert_eq!(route, before);
     }
 
     #[test]

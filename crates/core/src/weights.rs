@@ -240,24 +240,20 @@ impl WeightTable {
     }
 
     /// Applies one route's hops to the table (`add` registers the flow, `!add`
-    /// removes a previously-registered one), returning the `(router, output)`
-    /// ports whose flow count changed.  The table stays equal to one rebuilt
-    /// by [`WeightTable::from_flow_set`] over the mutated flow set.
+    /// removes a previously-registered one).  The table stays equal to one
+    /// rebuilt by [`WeightTable::from_flow_set`] over the mutated flow set.
     ///
-    /// The weighted analyses read flow counts by magnitude, so — unlike the
-    /// support-only invalidation of the regular model — every hop of the
-    /// route appears in the returned list.
+    /// The counts that change are those of the route's own hop columns:
+    /// each hop's `(router, output)` count and its `(router, input, output)`
+    /// pair count move by one.
     ///
     /// # Panics
     ///
     /// Panics if a hop of `route` lies outside the table's mesh.
-    pub fn apply_route_delta(&mut self, route: &Route, add: bool) -> Vec<(Coord, Port)> {
-        let mut changed = Vec::with_capacity(route.hops().len());
+    pub fn apply_route_delta(&mut self, route: &Route, add: bool) {
         for hop in route.hops() {
             self.count_hop(hop, add);
-            changed.push((hop.router, hop.output));
         }
-        changed
     }
 
     /// The paper's closed-form weight `I_diri / O_diro` from the Section III
@@ -481,8 +477,7 @@ mod tests {
         let (_flow, removed_route) = reduced.pop().unwrap();
         // Removing the last flow's route leaves the table of the reduced set.
         let mut table = WeightTable::from_flow_set(&full);
-        let changed = table.apply_route_delta(&removed_route, false);
-        assert_eq!(changed.len(), removed_route.hops().len());
+        table.apply_route_delta(&removed_route, false);
         let rebuilt = WeightTable::from_flow_set(&reduced);
         for router in mesh.routers() {
             for input in Port::ALL {

@@ -8,8 +8,12 @@
 //!
 //! Behavior:
 //!
-//! * under `cargo bench`, each benchmark runs for a short measurement window
-//!   and prints the mean iteration time;
+//! * under `cargo bench`, each benchmark runs one warm-up window, then ten
+//!   measurement windows of at least 20 ms each, and prints
+//!   the median of the windows' mean iteration times with their min–max
+//!   range (one long window let any slow phase of a shared host move the
+//!   whole reading; the median resists phases shorter than the bench, and
+//!   the range shows when one hit);
 //! * under `cargo test` (cargo passes `--test` to `harness = false` bench
 //!   targets), each benchmark routine runs exactly once as a smoke test.
 //!
@@ -70,17 +74,25 @@ impl Display for BenchmarkId {
     }
 }
 
+/// Measurement windows per benchmark.
+const WINDOWS: usize = 10;
+
+/// The least time one measurement window lasts.
+const WINDOW: Duration = Duration::from_millis(20);
+
 /// Timing loop handle passed to benchmark closures.
 #[derive(Debug)]
 pub struct Bencher {
     mode: Mode,
-    /// (total duration, iterations) of the measurement window.
-    measured: Option<(Duration, u64)>,
+    /// Mean iteration time of each measurement window, in nanoseconds.
+    windows: Vec<f64>,
+    /// Iterations measured over all windows.
+    iterations: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `cargo bench`: measure for a short window.
+    /// `cargo bench`: measure over short windows.
     Measure,
     /// `cargo test`: run the routine once.
     Smoke,
@@ -89,25 +101,20 @@ enum Mode {
 impl Bencher {
     /// Time `routine` repeatedly.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        match self.mode {
-            Mode::Smoke => {
-                black_box(routine());
-                self.measured = Some((Duration::ZERO, 1));
-            }
-            Mode::Measure => {
-                // Warm-up round, then measure for ~100ms or 3 iterations,
-                // whichever takes longer.
-                black_box(routine());
-                let window = Duration::from_millis(100);
-                let start = Instant::now();
-                let mut iterations = 0u64;
-                while iterations < 3 || start.elapsed() < window {
-                    black_box(routine());
-                    iterations += 1;
-                }
-                self.measured = Some((start.elapsed(), iterations));
-            }
+        if self.mode == Mode::Smoke {
+            black_box(routine());
+            self.iterations = 1;
+            return;
         }
+        self.measure(|| {
+            let start = Instant::now();
+            let mut iterations = 0u64;
+            while iterations == 0 || start.elapsed() < WINDOW {
+                black_box(routine());
+                iterations += 1;
+            }
+            (start.elapsed(), iterations)
+        });
     }
 
     /// Time `routine` over fresh inputs built by `setup` (setup untimed).
@@ -116,37 +123,58 @@ impl Bencher {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        match self.mode {
-            Mode::Smoke => {
-                black_box(routine(setup()));
-                self.measured = Some((Duration::ZERO, 1));
+        if self.mode == Mode::Smoke {
+            black_box(routine(setup()));
+            self.iterations = 1;
+            return;
+        }
+        self.measure(|| {
+            let mut timed = Duration::ZERO;
+            let mut iterations = 0u64;
+            while iterations == 0 || timed < WINDOW {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                timed += start.elapsed();
+                iterations += 1;
             }
-            Mode::Measure => {
-                black_box(routine(setup()));
-                let window = Duration::from_millis(100);
-                let mut total = Duration::ZERO;
-                let mut iterations = 0u64;
-                while iterations < 3 || total < window {
-                    let input = setup();
-                    let start = Instant::now();
-                    black_box(routine(input));
-                    total += start.elapsed();
-                    iterations += 1;
-                }
-                self.measured = Some((total, iterations));
-            }
+            (timed, iterations)
+        });
+    }
+
+    /// Runs one warm-up window, then [`WINDOWS`] measured ones; `window` runs
+    /// at least one iteration, until its timed share reaches [`WINDOW`], and
+    /// returns that time and its iteration count.
+    fn measure(&mut self, mut window: impl FnMut() -> (Duration, u64)) {
+        window();
+        for _ in 0..WINDOWS {
+            let (timed, iterations) = window();
+            self.windows
+                .push(timed.as_nanos() as f64 / iterations as f64);
+            self.iterations += iterations;
         }
     }
 }
 
 fn report(id: &str, bencher: &Bencher) {
-    match (bencher.mode, bencher.measured) {
-        (Mode::Smoke, _) => println!("bench {id}: ok (smoke)"),
-        (Mode::Measure, Some((total, iterations))) if iterations > 0 => {
-            let per_iter = total.as_nanos() / u128::from(iterations);
-            println!("bench {id}: {per_iter} ns/iter ({iterations} iterations)");
+    match bencher.mode {
+        Mode::Smoke => println!("bench {id}: ok (smoke)"),
+        Mode::Measure if bencher.windows.is_empty() => {
+            println!("bench {id}: no measurement (b.iter never called)")
         }
-        (Mode::Measure, _) => println!("bench {id}: no measurement (b.iter never called)"),
+        Mode::Measure => {
+            let mut windows = bencher.windows.clone();
+            windows.sort_by(f64::total_cmp);
+            let last = windows.len() - 1;
+            let median = (windows[last / 2] + windows[windows.len() / 2]) / 2.0;
+            println!(
+                "bench {id}: {median:.0} ns/iter (windows {:.0}..{:.0}, {} windows, {} iterations)",
+                windows[0],
+                windows[last],
+                windows.len(),
+                bencher.iterations
+            );
+        }
     }
 }
 
@@ -175,7 +203,8 @@ impl Criterion {
     {
         let mut bencher = Bencher {
             mode: self.mode,
-            measured: None,
+            windows: Vec::new(),
+            iterations: 0,
         };
         f(&mut bencher);
         report(id, &bencher);
