@@ -16,9 +16,7 @@ use wnoc_core::buffers::per_port_table;
 use wnoc_core::flow::FlowSet;
 use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{
-    ArrivalCurve, BufferConfig, Coord, Mesh, NocConfig, RouterTiming, VcAssignment, VcConfig,
-};
+use wnoc_core::{ArrivalCurve, BufferConfig, Coord, Mesh, NocConfig, VcAssignment, VcConfig};
 
 fn bench_regular_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/regular_corner_wctt");
@@ -31,7 +29,7 @@ fn bench_regular_model(c: &mut Criterion) {
                 .route(&mesh, Coord::new(side - 1, side - 1), memory)
                 .unwrap();
             b.iter(|| {
-                let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+                let mut model = RegularWcttModel::new(&flows, 1);
                 black_box(model.route_wctt(black_box(&corner), 1))
             })
         });
@@ -47,7 +45,7 @@ fn bench_weighted_model(c: &mut Criterion) {
             let memory = Coord::from_row_col(0, 0);
             let flows = FlowSet::all_to_one(&mesh, memory).unwrap();
             let weights = WeightTable::from_flow_set(&flows);
-            let model = WeightedWcttModel::new(weights, RouterTiming::CANONICAL, 1);
+            let model = WeightedWcttModel::new(weights, 1);
             let corner = XyRouting
                 .route(&mesh, Coord::new(side - 1, side - 1), memory)
                 .unwrap();

@@ -6,12 +6,11 @@ use std::hint::black_box;
 
 use wnoc_core::analysis::table::FlowScenario;
 use wnoc_core::analysis::WcttTable;
-use wnoc_core::RouterTiming;
 
 fn bench_full_table(c: &mut Criterion) {
     c.bench_function("table2/analytical_full", |b| {
         b.iter(|| {
-            let table = WcttTable::table2(black_box(RouterTiming::CANONICAL)).unwrap();
+            let table = WcttTable::table2().unwrap();
             black_box(table.rows().len())
         })
     });
@@ -22,13 +21,8 @@ fn bench_per_size(c: &mut Criterion) {
     for side in [2u16, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(side), &side, |b, &side| {
             b.iter(|| {
-                let row = WcttTable::row(
-                    black_box(side),
-                    FlowScenario::paper_default(),
-                    RouterTiming::CANONICAL,
-                    1,
-                )
-                .unwrap();
+                let row =
+                    WcttTable::row(black_box(side), FlowScenario::paper_default(), 1).unwrap();
                 black_box(row.regular.max)
             })
         });

@@ -9,7 +9,7 @@
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::flow::FlowSet;
 use wnoc_core::weights::WeightTable;
-use wnoc_core::{Coord, Mesh, PacketizationPolicy, PhitGeometry, Result, RouterTiming};
+use wnoc_core::{Coord, Mesh, PacketizationPolicy, Result};
 
 /// WCTT summary of one design point of the ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,20 +60,18 @@ impl Ablation {
         let memory = Coord::from_row_col(0, 0);
         let flows = FlowSet::all_to_one(&mesh, memory)?;
         let weights = WeightTable::from_flow_set(&flows);
-        let timing = RouterTiming::CANONICAL;
-
         // Baseline: round robin + regular packetization (contenders of size L).
-        let mut baseline = RegularWcttModel::new(&flows, timing, max_packet_flits);
+        let mut baseline = RegularWcttModel::new(&flows, max_packet_flits);
         // WaP only: round robin, but every packet in the network is one flit.
-        let mut wap_only = RegularWcttModel::new(&flows, timing, 1);
+        let mut wap_only = RegularWcttModel::new(&flows, 1);
         // WaW only: weighted arbitration, packets stay L flits long.
-        let waw_only = WeightedWcttModel::new(weights.clone(), timing, max_packet_flits);
+        let waw_only = WeightedWcttModel::new(weights.clone(), max_packet_flits);
         // Full proposal: weighted arbitration + single-flit slices.
-        let full = WeightedWcttModel::new(weights, timing, 1);
+        let full = WeightedWcttModel::new(weights, 1);
 
         // Under WaP the message is sliced into single-flit packets that each
         // replicate the control information (a cache line becomes 5).
-        let slices = PacketizationPolicy::wap().split(message_flits, PhitGeometry::PAPER);
+        let slices = PacketizationPolicy::wap().split(message_flits);
 
         let mut baseline_values = Vec::new();
         let mut wap_values = Vec::new();

@@ -159,7 +159,7 @@ fn worst_paper_bound(flows: &FlowSet, config: &NocConfig, message_flits: u32) ->
     match config.arbitration {
         wnoc_core::ArbitrationPolicy::RoundRobin => {
             let l = config.packetization.worst_case_contender_flits();
-            let mut oracle = RegularOracle::new(flows, config, l);
+            let mut oracle = RegularOracle::new(flows, l);
             worst_bound(&mut oracle, flows, message_flits).unwrap_or(0)
         }
         wnoc_core::ArbitrationPolicy::Waw => {

@@ -12,7 +12,7 @@
 //!   meshes.
 
 use wnoc_core::analysis::{WcttTable, WcttTableRow};
-use wnoc_core::{Coord, Mesh, NocConfig, Result, RouterTiming};
+use wnoc_core::{Coord, Mesh, NocConfig, Result};
 use wnoc_sim::Simulation;
 
 /// Observed (simulated) WCTT summary for one mesh size and one design.
@@ -49,7 +49,7 @@ impl Table2 {
     ///
     /// Never fails in practice.
     pub fn analytical() -> Result<Vec<WcttTableRow>> {
-        Ok(WcttTable::table2(RouterTiming::CANONICAL)?.rows().to_vec())
+        Ok(WcttTable::table2()?.rows().to_vec())
     }
 
     /// Runs the saturated-hotspot simulation for the given sizes and returns

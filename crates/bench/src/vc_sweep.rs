@@ -170,7 +170,7 @@ fn sample_point(
     observed_max: u64,
 ) -> VcPoint {
     let l = config.packetization.worst_case_contender_flits();
-    let mut regular = RegularOracle::new(flows, config, l);
+    let mut regular = RegularOracle::new(flows, l);
     let mut preemptive = PreemptiveOracle::new(flows, config, buffers, vcs);
     let regular_bound = flows
         .iter()

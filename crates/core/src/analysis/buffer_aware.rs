@@ -70,7 +70,7 @@
 //! platforms are outside what any per-route weighted bound models.
 
 use crate::buffers::BufferConfig;
-use crate::config::RouterTiming;
+use crate::config::{EJECTION_CHARGE, LINK_CHARGE, ROUTER_CHARGE};
 use crate::error::Result;
 use crate::geometry::NodeId;
 use crate::port::Port;
@@ -84,7 +84,6 @@ use super::weighted::WeightedWcttModel;
 #[derive(Debug, Clone)]
 pub struct BufferAwareWcttModel {
     weights: WeightTable,
-    timing: RouterTiming,
     /// Minimum packet (slice) size in flits — the paper's `m`.
     slice_flits: u32,
     mesh: Mesh,
@@ -106,16 +105,9 @@ impl BufferAwareWcttModel {
     pub const OCCUPANCY_SLACK: u32 = 128;
 
     /// Creates a model over `mesh` with the given buffer configuration.
-    pub fn new(
-        weights: WeightTable,
-        timing: RouterTiming,
-        slice_flits: u32,
-        mesh: Mesh,
-        buffers: BufferConfig,
-    ) -> Self {
+    pub fn new(weights: WeightTable, slice_flits: u32, mesh: Mesh, buffers: BufferConfig) -> Self {
         Self {
             weights,
-            timing,
             slice_flits: slice_flits.max(1),
             mesh,
             buffers,
@@ -130,11 +122,6 @@ impl BufferAwareWcttModel {
     /// The weight table (per-port flow counts) the model analyses.
     pub fn weights(&self) -> &WeightTable {
         &self.weights
-    }
-
-    /// The router timing parameters of the model.
-    pub fn timing(&self) -> RouterTiming {
-        self.timing
     }
 
     /// The minimum packet (slice) size in flits — the paper's `m`.
@@ -168,15 +155,14 @@ impl BufferAwareWcttModel {
     }
 
     /// The paper-form / backpressured reference model over the same weights
-    /// and timing (used by the ordering checks and the sweep experiment).
+    /// (used by the ordering checks and the sweep experiment).
     pub fn reference(&self) -> WeightedWcttModel {
-        WeightedWcttModel::new(self.weights.clone(), self.timing, self.slice_flits)
+        WeightedWcttModel::new(self.weights.clone(), self.slice_flits)
     }
 
     /// WCTT bound for a single `m`-flit packet (slice) following `route`
     /// through the configured buffers.
     pub fn packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
         let m = u64::from(self.slice_flits);
         // One pass from the destination back, carrying the suffix maximum
         // `O*` of the per-output flow counts (the hop's dilated round); the
@@ -202,12 +188,9 @@ impl BufferAwareWcttModel {
                 // Occupancy regime: harmonic decay of the dilation residual.
                 (calibration + slack) * excess / (depth + slack)
             };
-            total += u64::from(timing.router_cycles) + (flows - 1) * m + backpressure;
+            total += ROUTER_CHARGE + (flows - 1) * m + backpressure;
         }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+        total + LINK_CHARGE * u64::from(route.hop_count()) + EJECTION_CHARGE + (m - 1)
     }
 
     /// Message-level bound: each extra slice adds one dilated round of the
@@ -244,13 +227,7 @@ mod tests {
     fn setup(side: u16, buffers: BufferConfig) -> (Mesh, BufferAwareWcttModel) {
         let mesh = Mesh::square(side).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
-        let model = BufferAwareWcttModel::new(
-            WeightTable::from_flow_set(&flows),
-            RouterTiming::CANONICAL,
-            1,
-            mesh,
-            buffers,
-        );
+        let model = BufferAwareWcttModel::new(WeightTable::from_flow_set(&flows), 1, mesh, buffers);
         (mesh, model)
     }
 

@@ -87,6 +87,7 @@
 //! of this by construction; see `docs/ORACLES.md` for the catalog entry.
 
 use crate::arrival::ArrivalCurve;
+use crate::config::ROUTER_CHARGE;
 use crate::routing::Route;
 
 use super::buffer_aware::BufferAwareWcttModel;
@@ -133,7 +134,6 @@ impl GraphBufferAwareWcttModel {
     /// docs.  May exceed the steady-state bound on shallow contended routes —
     /// that excess is load-bearing, not an artifact (see the module docs).
     pub fn service_slot(&self, route: &Route, slices: u32) -> u64 {
-        let timing = self.base.timing();
         let m = u64::from(self.base.slice_flits());
         let slices = u64::from(slices.max(1));
         let message_flits = slices * m;
@@ -162,7 +162,7 @@ impl GraphBufferAwareWcttModel {
             } else {
                 (calibration + slack) * excess / (depth + slack)
             };
-            let serve = u64::from(timing.router_cycles) + slices * flows * m + backpressure;
+            let serve = ROUTER_CHARGE + slices * flows * m + backpressure;
             chain = serve
                 + if downstream_cap < message_flits {
                     chain
@@ -207,7 +207,6 @@ impl GraphBufferAwareWcttModel {
 mod tests {
     use super::*;
     use crate::buffers::BufferConfig;
-    use crate::config::RouterTiming;
     use crate::flow::FlowSet;
     use crate::geometry::Coord;
     use crate::routing::{RoutingAlgorithm, XyRouting};
@@ -217,13 +216,7 @@ mod tests {
     fn setup(side: u16, buffers: BufferConfig, curve: ArrivalCurve) -> GraphBufferAwareWcttModel {
         let mesh = Mesh::square(side).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
-        let base = BufferAwareWcttModel::new(
-            WeightTable::from_flow_set(&flows),
-            RouterTiming::CANONICAL,
-            1,
-            mesh,
-            buffers,
-        );
+        let base = BufferAwareWcttModel::new(WeightTable::from_flow_set(&flows), 1, mesh, buffers);
         GraphBufferAwareWcttModel::new(base, curve)
     }
 

@@ -386,7 +386,6 @@ impl IncrementalAnalysis {
             ArbitrationPolicy::RoundRobin => (
                 Some(RegularWcttModel::new(
                     flows,
-                    config.timing,
                     config.packetization.worst_case_contender_flits(),
                 )),
                 None,
@@ -396,16 +395,10 @@ impl IncrementalAnalysis {
             ArbitrationPolicy::Waw => {
                 let slice = config.packetization.worst_case_contender_flits();
                 let table = WeightTable::from_flow_set(flows);
-                let base = BufferAwareWcttModel::new(
-                    table.clone(),
-                    config.timing,
-                    slice,
-                    mesh,
-                    buffers.clone(),
-                );
+                let base = BufferAwareWcttModel::new(table.clone(), slice, mesh, buffers.clone());
                 (
                     None,
-                    Some(WeightedWcttModel::new(table, config.timing, slice)),
+                    Some(WeightedWcttModel::new(table, slice)),
                     Some(base.clone()),
                     // Seeded with the burst-free contract, under which the
                     // graph-based bound collapses to the buffer-aware one;
@@ -700,7 +693,6 @@ impl IncrementalAnalysis {
         if id.0 >= self.flows.len() {
             return None;
         }
-        let geometry = self.config.geometry;
         match analysis {
             Analysis::Regular => {
                 self.regular.as_ref()?;
@@ -712,13 +704,12 @@ impl IncrementalAnalysis {
                     .packetization
                     .worst_case_contender_flits()
                     .max(1);
-                let split = PacketizationPolicy::Regular { max_packet_flits }
-                    .split(message_flits, geometry);
+                let split = PacketizationPolicy::Regular { max_packet_flits }.split(message_flits);
                 let terms = self.ensure_terms(id.0)?;
                 Some(split.sum(|flits| regular_packet(terms.regular_base, flits)))
             }
             Analysis::Ubd => {
-                let split = self.config.packetization.split(message_flits, geometry);
+                let split = self.config.packetization.split(message_flits);
                 match self.config.arbitration {
                     ArbitrationPolicy::RoundRobin => {
                         self.regular.as_ref()?;
@@ -745,8 +736,8 @@ impl IncrementalAnalysis {
                         .packetization
                         .worst_case_contender_flits()
                         .max(1);
-                    let split = PacketizationPolicy::Regular { max_packet_flits }
-                        .split(message_flits, geometry);
+                    let split =
+                        PacketizationPolicy::Regular { max_packet_flits }.split(message_flits);
                     let factor = self.depth_factor;
                     let terms = self.ensure_terms(id.0)?;
                     let packet = |flits| preemptive_packet(terms.regular_base, factor, flits);
@@ -761,11 +752,7 @@ impl IncrementalAnalysis {
                 }
             }
             Analysis::Slot => {
-                let wire = self
-                    .config
-                    .packetization
-                    .split(message_flits, geometry)
-                    .wire_flits();
+                let wire = self.config.packetization.split(message_flits).wire_flits();
                 let contender_flits = self.config.packetization.worst_case_contender_flits();
                 let terms = self.ensure_terms(id.0)?;
                 Some(slot_envelope(terms.slot_contenders, contender_flits, wire))

@@ -106,10 +106,7 @@ pub trait WcttBoundModel: std::fmt::Debug + Send {
 /// occupies under `config`'s packetization: the slice count the weighted
 /// analyses compose over.
 pub(crate) fn slices(config: &NocConfig, message_flits: u32) -> u32 {
-    config
-        .packetization
-        .split(message_flits, config.geometry)
-        .packets
+    config.packetization.split(message_flits).packets
 }
 
 /// [`WcttBoundModel`] over the chained-blocking analysis of the regular
@@ -119,18 +116,16 @@ pub struct RegularOracle {
     model: RegularWcttModel,
     flows: FlowSet,
     max_packet_flits: u32,
-    geometry: crate::packetization::PhitGeometry,
 }
 
 impl RegularOracle {
     /// Builds the oracle for `flows` with maximum packet size
     /// `max_packet_flits` (the paper's `L`, also the assumed contender size).
-    pub fn new(flows: &FlowSet, config: &NocConfig, max_packet_flits: u32) -> Self {
+    pub fn new(flows: &FlowSet, max_packet_flits: u32) -> Self {
         Self {
-            model: RegularWcttModel::new(flows, config.timing, max_packet_flits),
+            model: RegularWcttModel::new(flows, max_packet_flits),
             flows: flows.clone(),
             max_packet_flits: max_packet_flits.max(1),
-            geometry: config.geometry,
         }
     }
 
@@ -138,7 +133,7 @@ impl RegularOracle {
         PacketizationPolicy::Regular {
             max_packet_flits: self.max_packet_flits,
         }
-        .split(message_flits, self.geometry)
+        .split(message_flits)
     }
 }
 
@@ -196,7 +191,7 @@ pub struct WeightedOracle {
 
 impl WeightedOracle {
     /// Builds the paper-flavour oracle for `flows` under the WaW + WaP
-    /// configuration `config` (used for slice geometry and timing).
+    /// configuration `config` (used for the slice size and slicing).
     pub fn new(flows: &FlowSet, config: &NocConfig) -> Self {
         Self::with_flavor(flows, config, WeightedFlavor::Paper)
     }
@@ -205,7 +200,7 @@ impl WeightedOracle {
     pub fn with_flavor(flows: &FlowSet, config: &NocConfig, flavor: WeightedFlavor) -> Self {
         let slice = config.packetization.worst_case_contender_flits();
         Self {
-            model: WeightedWcttModel::new(WeightTable::from_flow_set(flows), config.timing, slice),
+            model: WeightedWcttModel::new(WeightTable::from_flow_set(flows), slice),
             flows: flows.clone(),
             config: *config,
             flavor,
@@ -299,7 +294,6 @@ impl BufferAwareOracle {
         Self {
             model: BufferAwareWcttModel::new(
                 WeightTable::from_flow_set(flows),
-                config.timing,
                 slice,
                 mesh,
                 buffers,
@@ -368,13 +362,7 @@ impl GraphBufferAwareOracle {
         let slice = config.packetization.worst_case_contender_flits();
         Self {
             model: GraphBufferAwareWcttModel::new(
-                BufferAwareWcttModel::new(
-                    WeightTable::from_flow_set(flows),
-                    config.timing,
-                    slice,
-                    mesh,
-                    buffers,
-                ),
+                BufferAwareWcttModel::new(WeightTable::from_flow_set(flows), slice, mesh, buffers),
                 curve,
             ),
             flows: flows.clone(),
@@ -481,7 +469,6 @@ pub struct SlotOracle {
     /// Contender packet size: `L` under regular packetization, `m` under WaP.
     contender_flits: u32,
     packetization: PacketizationPolicy,
-    geometry: crate::packetization::PhitGeometry,
     /// Flows per `(router, input, output)` pair and per `(router, output)`
     /// port: the envelope queries contention for every hop of every route,
     /// and rescanning the flow set per query made this oracle dominate whole
@@ -507,7 +494,6 @@ impl SlotOracle {
             arbitration: config.arbitration,
             contender_flits: config.packetization.worst_case_contender_flits(),
             packetization: config.packetization,
-            geometry: config.geometry,
             counts,
         }
     }
@@ -545,9 +531,7 @@ impl SlotOracle {
     fn wire_flits(&self, message_flits: u32) -> u32 {
         // Total wire flits across the message's packets, under the same
         // split the UBD composition and the other oracles use.
-        self.packetization
-            .split(message_flits, self.geometry)
-            .wire_flits()
+        self.packetization.split(message_flits).wire_flits()
     }
 }
 
@@ -714,11 +698,8 @@ fn suite(
                 });
             }
             let classic = default_buffers && single_vc;
-            let regular = RegularOracle::new(
-                flows,
-                config,
-                config.packetization.worst_case_contender_flits(),
-            );
+            let regular =
+                RegularOracle::new(flows, config.packetization.worst_case_contender_flits());
             vec![
                 gate(regular, classic),
                 gate(UbdOracle::new(flows, config)?, classic),
@@ -871,7 +852,7 @@ mod tests {
     #[test]
     fn regular_oracle_splits_messages_like_the_ubd_model() {
         let (flows, config) = setup(3, NocConfig::regular(4));
-        let mut regular = RegularOracle::new(&flows, &config, 4);
+        let mut regular = RegularOracle::new(&flows, 4);
         let mut ubd = UbdOracle::new(&flows, &config).unwrap();
         for (id, _) in flows.iter() {
             for mf in [1u32, 4, 9] {
@@ -893,7 +874,6 @@ mod tests {
         let mut paper = WeightedOracle::new(&flows, &config);
         let weighted = WeightedWcttModel::new(
             WeightTable::from_flow_set(&flows),
-            config.timing,
             config.packetization.worst_case_contender_flits(),
         );
         let route = flows.route(FlowId(0)).unwrap();
@@ -1042,7 +1022,7 @@ mod tests {
     #[test]
     fn preemptive_dominates_the_regular_composition() {
         let (flows, config) = setup(5, NocConfig::regular(8));
-        let mut regular = RegularOracle::new(&flows, &config, 8);
+        let mut regular = RegularOracle::new(&flows, 8);
         let mut preemptive = PreemptiveOracle::new(
             &flows,
             &config,
@@ -1082,9 +1062,8 @@ mod tests {
     fn analytic_only_wrapper_preserves_bounds_and_name() {
         let mesh = Mesh::square(3).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
-        let config = NocConfig::regular(4);
-        let mut plain = RegularOracle::new(&flows, &config, 4);
-        let mut wrapped = AnalyticOnly(RegularOracle::new(&flows, &config, 4));
+        let mut plain = RegularOracle::new(&flows, 4);
+        let mut wrapped = AnalyticOnly(RegularOracle::new(&flows, 4));
         assert_eq!(wrapped.name(), "regular");
         assert!(!wrapped.dominates_observation());
         for (id, _) in flows.iter() {

@@ -41,7 +41,7 @@
 
 use crate::analysis::regular::RegularWcttModel;
 use crate::buffers::BufferConfig;
-use crate::config::{NocConfig, RouterTiming};
+use crate::config::{zero_load_head_latency, NocConfig, ROUTER_CHARGE};
 use crate::flow::{FlowId, FlowSet};
 use crate::geometry::Coord;
 use crate::packetization::PacketizationPolicy;
@@ -90,9 +90,7 @@ const MAX_RESPONSE_ROUNDS: usize = 64;
 pub struct PreemptiveOracle {
     base: RegularWcttModel,
     flows: FlowSet,
-    timing: RouterTiming,
     max_packet_flits: u32,
-    geometry: crate::packetization::PhitGeometry,
     depth_factor: u64,
     /// Per-flow VC (= priority class, 0 highest).
     priority: Vec<u8>,
@@ -136,9 +134,7 @@ impl PreemptiveOracle {
                     let hops = flows
                         .route(FlowId(index))
                         .map_or(0, |route| route.hop_count());
-                    config
-                        .timing
-                        .zero_load_head_latency(hops)
+                    zero_load_head_latency(hops)
                         .saturating_add(u64::from(max_packet_flits - 1))
                         .max(1)
                 })
@@ -147,11 +143,9 @@ impl PreemptiveOracle {
         };
 
         Self {
-            base: RegularWcttModel::new(flows, config.timing, max_packet_flits),
+            base: RegularWcttModel::new(flows, max_packet_flits),
             flows: flows.clone(),
-            timing: config.timing,
             max_packet_flits,
-            geometry: config.geometry,
             depth_factor: Self::depth_envelope_factor(config, buffers),
             priority,
             hp_interferers,
@@ -303,8 +297,7 @@ impl PreemptiveOracle {
             0
         } else {
             let service = self.packet_service(index)?;
-            let cost = u64::from(self.timing.router_cycles)
-                .saturating_add(u64::from(self.max_packet_flits));
+            let cost = ROUTER_CHARGE.saturating_add(u64::from(self.max_packet_flits));
             let hp = &self.hp_interferers[index];
             let mut response = service;
             let mut converged = None;
@@ -369,7 +362,7 @@ impl crate::analysis::oracle::WcttBoundModel for PreemptiveOracle {
         let split = PacketizationPolicy::Regular {
             max_packet_flits: self.max_packet_flits,
         }
-        .split(message_flits, self.geometry);
+        .split(message_flits);
         if split.packets == 0 {
             return Some(0);
         }
@@ -417,7 +410,7 @@ mod tests {
             &default_buffers(&config),
             VcConfig::single(),
         );
-        let mut regular = RegularWcttModel::new(&flows, config.timing, 4);
+        let mut regular = RegularWcttModel::new(&flows, 4);
         for index in 0..flows.len() {
             let id = FlowId(index);
             let route = flows.route(id).unwrap().clone();
@@ -441,11 +434,11 @@ mod tests {
             &default_buffers(&config),
             VcConfig::single(),
         );
-        let mut regular = RegularWcttModel::new(&flows, config.timing, 4);
+        let mut regular = RegularWcttModel::new(&flows, 4);
         let id = FlowId(0);
         let route = flows.route(id).unwrap().clone();
         // Two maximum packets: Σ per-packet plus one full extra round.
-        let naive = regular.message_wctt(&route, config.packetization.split(8, config.geometry));
+        let naive = regular.message_wctt(&route, config.packetization.split(8));
         let repaired = model.message_bound(id, 8).unwrap();
         assert_eq!(repaired, naive + regular.route_wctt(&route, 4));
         // Comfortably above the 15% exceedance campaigns observed.

@@ -39,7 +39,7 @@
 //! orders-of-magnitude WCTT blow-up with network size that Table II of the
 //! paper reports for the regular mesh.
 
-use crate::config::RouterTiming;
+use crate::config::{EJECTION_CHARGE, LINK_CHARGE, ROUTER_CHARGE};
 use crate::flow::FlowSet;
 use crate::geometry::Coord;
 use crate::packetization::Split;
@@ -94,7 +94,6 @@ impl RouteDelta {
 ///
 /// ```
 /// use wnoc_core::analysis::RegularWcttModel;
-/// use wnoc_core::config::RouterTiming;
 /// use wnoc_core::flow::FlowSet;
 /// use wnoc_core::geometry::Coord;
 /// use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
@@ -102,7 +101,7 @@ impl RouteDelta {
 ///
 /// let mesh = Mesh::square(4)?;
 /// let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0))?;
-/// let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+/// let mut model = RegularWcttModel::new(&flows, 1);
 /// let near = XyRouting.route(&mesh, Coord::from_row_col(0, 1), Coord::from_row_col(0, 0))?;
 /// let far = XyRouting.route(&mesh, Coord::from_row_col(3, 3), Coord::from_row_col(0, 0))?;
 /// // The WCTT of the far corner is dramatically larger than the adjacent
@@ -113,7 +112,6 @@ impl RouteDelta {
 #[derive(Debug, Clone)]
 pub struct RegularWcttModel {
     mesh: Mesh,
-    timing: RouterTiming,
     /// Maximum packet size contenders may use (the paper's `L`), in flits.
     contender_flits: u32,
     /// Number of flows using each (router, input, output) triple, densely
@@ -128,14 +126,12 @@ pub struct RegularWcttModel {
 
 impl RegularWcttModel {
     /// Creates a model for the platform described by `flows`, with the given
-    /// timing and maximum allowed packet size (`contender_flits`, the paper's
-    /// `L`).
-    pub fn new(flows: &FlowSet, timing: RouterTiming, contender_flits: u32) -> Self {
+    /// maximum allowed packet size (`contender_flits`, the paper's `L`).
+    pub fn new(flows: &FlowSet, contender_flits: u32) -> Self {
         let mesh = *flows.mesh();
         let nodes = mesh.router_count();
         let mut model = Self {
             mesh,
-            timing,
             contender_flits: contender_flits.max(1),
             pair_flows: vec![0; nodes * Port::COUNT * Port::COUNT],
             drain_memo: vec![None; nodes * Port::COUNT],
@@ -206,9 +202,8 @@ impl RegularWcttModel {
         if let Some(d) = self.drain_memo[di] {
             return d;
         }
-        let timing = self.timing;
         let l = u64::from(self.contender_flits);
-        let ejection = u64::from(timing.ejection_cycles).saturating_add(l);
+        let ejection = EJECTION_CHARGE.saturating_add(l);
         let value = match output {
             Port::Local => ejection,
             Port::Mesh(dir) => match self.mesh.neighbor(router, dir) {
@@ -225,8 +220,8 @@ impl RegularWcttModel {
                         let drain = self.drain_time(next, o_next);
                         worst = worst.max(block.saturating_add(drain));
                     }
-                    u64::from(timing.link_cycles)
-                        .saturating_add(u64::from(timing.router_cycles))
+                    LINK_CHARGE
+                        .saturating_add(ROUTER_CHARGE)
                         .saturating_add(worst)
                 }
             },
@@ -337,16 +332,15 @@ impl RegularWcttModel {
     /// Time-composable WCTT bound for one packet of `own_flits` flits following
     /// `route`.
     pub fn route_wctt(&mut self, route: &Route, own_flits: u32) -> u64 {
-        let timing = self.timing;
         let mut total = 0u64;
         for hop in route.hops() {
             total = total
-                .saturating_add(u64::from(timing.router_cycles))
+                .saturating_add(ROUTER_CHARGE)
                 .saturating_add(self.blocking(hop.router, hop.input, hop.output));
         }
         total
-            .saturating_add(u64::from(timing.link_cycles) * u64::from(route.hop_count()))
-            .saturating_add(u64::from(timing.ejection_cycles))
+            .saturating_add(LINK_CHARGE * u64::from(route.hop_count()))
+            .saturating_add(EJECTION_CHARGE)
             .saturating_add(u64::from(own_flits.saturating_sub(1)))
     }
 
@@ -361,7 +355,8 @@ impl RegularWcttModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packetization::{PacketizationPolicy, PhitGeometry};
+    use crate::config::zero_load_head_latency;
+    use crate::packetization::PacketizationPolicy;
     use crate::port::Direction;
     use crate::routing::{RoutingAlgorithm, XyRouting};
 
@@ -384,7 +379,7 @@ mod tests {
     #[test]
     fn contender_counts_follow_the_flow_set() {
         let (mesh, flows) = all_to_memory(8);
-        let model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let model = RegularWcttModel::new(&flows, 1);
         // On the column-0 trunk, a packet coming from the south competes with
         // the east input (row traffic merging in) and the local injection.
         let r30 = mesh.check(Coord::from_row_col(3, 0)).unwrap();
@@ -416,21 +411,21 @@ mod tests {
     #[test]
     fn wctt_covers_zero_load_latency() {
         let (mesh, flows) = all_to_memory(4);
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut model = RegularWcttModel::new(&flows, 1);
         for src in mesh.routers() {
             if src == Coord::new(0, 0) {
                 continue;
             }
             let r = XyRouting.route(&mesh, src, Coord::new(0, 0)).unwrap();
             let w = model.route_wctt(&r, 1);
-            assert!(w >= RouterTiming::CANONICAL.zero_load_head_latency(r.hop_count()));
+            assert!(w >= zero_load_head_latency(r.hop_count()));
         }
     }
 
     #[test]
     fn wctt_grows_with_distance_along_a_row() {
         let (mesh, flows) = all_to_memory(8);
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut model = RegularWcttModel::new(&flows, 1);
         let mut last = 0;
         for col in 1..8u16 {
             let r = route(&mesh, (0, col), (0, 0));
@@ -445,7 +440,7 @@ mod tests {
         // Y-dimension hops aggregate whole rows of traffic, so the chained
         // blocking compounds much faster than along a single row.
         let (mesh, flows) = all_to_memory(8);
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut model = RegularWcttModel::new(&flows, 1);
         let x_only = model.route_wctt(&route(&mesh, (0, 7), (0, 0)), 1);
         let y_only = model.route_wctt(&route(&mesh, (7, 0), (0, 0)), 1);
         assert!(y_only > 10 * x_only, "y {y_only} vs x {x_only}");
@@ -455,9 +450,9 @@ mod tests {
     fn wctt_grows_with_contender_packet_size() {
         let (mesh, flows) = all_to_memory(4);
         let r = route(&mesh, (3, 3), (0, 0));
-        let mut l1 = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
-        let mut l4 = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
-        let mut l8 = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 8);
+        let mut l1 = RegularWcttModel::new(&flows, 1);
+        let mut l4 = RegularWcttModel::new(&flows, 4);
+        let mut l8 = RegularWcttModel::new(&flows, 8);
         let w1 = l1.route_wctt(&r, 1);
         let w4 = l4.route_wctt(&r, 1);
         let w8 = l8.route_wctt(&r, 1);
@@ -480,7 +475,7 @@ mod tests {
         let mut previous = 0u64;
         for side in [2u16, 3, 4, 5, 6, 7, 8] {
             let (mesh, flows) = all_to_memory(side);
-            let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+            let mut model = RegularWcttModel::new(&flows, 1);
             let corner = route(&mesh, (side - 1, side - 1), (0, 0));
             let w = model.route_wctt(&corner, 1);
             if side > 2 {
@@ -499,7 +494,7 @@ mod tests {
     #[test]
     fn adjacent_node_keeps_a_small_bound() {
         let (mesh, flows) = all_to_memory(8);
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut model = RegularWcttModel::new(&flows, 1);
         let near = model.route_wctt(&route(&mesh, (0, 1), (0, 0)), 1);
         // The best-placed node stays within tens of cycles (paper: 9).
         assert!(near < 50, "adjacent node WCTT {near} unexpectedly large");
@@ -509,11 +504,11 @@ mod tests {
     fn memoisation_is_consistent() {
         let (mesh, flows) = all_to_memory(5);
         let r = route(&mesh, (4, 4), (0, 0));
-        let mut warm = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut warm = RegularWcttModel::new(&flows, 4);
         let first = warm.route_wctt(&r, 4);
         let second = warm.route_wctt(&r, 4);
         assert_eq!(first, second);
-        let mut cold = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut cold = RegularWcttModel::new(&flows, 4);
         assert_eq!(cold.route_wctt(&r, 4), first);
     }
 
@@ -521,9 +516,9 @@ mod tests {
     fn message_wctt_sums_packets() {
         let (mesh, flows) = all_to_memory(3);
         let r = route(&mesh, (2, 2), (0, 0));
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut model = RegularWcttModel::new(&flows, 4);
         let single = model.route_wctt(&r, 4);
-        let eight = PacketizationPolicy::regular_l4().split(8, PhitGeometry::PAPER);
+        let eight = PacketizationPolicy::regular_l4().split(8);
         let double = model.message_wctt(&r, eight);
         assert_eq!(double, 2 * single);
     }
@@ -532,7 +527,7 @@ mod tests {
     fn own_serialisation_latency_added_once() {
         let (mesh, flows) = all_to_memory(3);
         let r = route(&mesh, (2, 2), (0, 0));
-        let mut model = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut model = RegularWcttModel::new(&flows, 4);
         let one = model.route_wctt(&r, 1);
         let four = model.route_wctt(&r, 4);
         assert_eq!(four - one, 3);
@@ -541,7 +536,7 @@ mod tests {
     #[test]
     fn apply_route_delta_matches_fresh_model() {
         let (_mesh, flows) = all_to_memory(5);
-        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut tracked = RegularWcttModel::new(&flows, 4);
         // Warm every memoised term before mutating.
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
@@ -551,14 +546,14 @@ mod tests {
         let (_flow, removed_route) = reduced.pop().unwrap();
         let mut delta = RouteDelta::default();
         tracked.apply_route_delta(&removed_route, false, &mut delta);
-        let mut fresh = RegularWcttModel::new(&reduced, RouterTiming::CANONICAL, 4);
+        let mut fresh = RegularWcttModel::new(&reduced, 4);
         for id in (0..reduced.len()).map(crate::flow::FlowId) {
             let r = reduced.route(id).unwrap().clone();
             assert_eq!(tracked.route_wctt(&r, 4), fresh.route_wctt(&r, 4));
         }
         // Re-adding the flow restores the original bounds bit-for-bit.
         tracked.apply_route_delta(&removed_route, true, &mut delta);
-        let mut original = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut original = RegularWcttModel::new(&flows, 4);
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
             assert_eq!(tracked.route_wctt(&r, 4), original.route_wctt(&r, 4));
@@ -568,7 +563,7 @@ mod tests {
     #[test]
     fn dropped_drains_carry_their_values_from_before_the_delta() {
         let (_mesh, flows) = all_to_memory(5);
-        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut tracked = RegularWcttModel::new(&flows, 4);
         for id in (0..flows.len()).map(crate::flow::FlowId) {
             let r = flows.route(id).unwrap().clone();
             tracked.route_wctt(&r, 4);
@@ -579,7 +574,7 @@ mod tests {
         tracked.apply_route_delta(&removed_route, false, &mut delta);
         assert!(!delta.flipped_pairs.is_empty());
         assert!(!delta.dropped_drains.is_empty());
-        let mut original = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut original = RegularWcttModel::new(&flows, 4);
         for &((router, output), value) in &delta.dropped_drains {
             assert_eq!(value, original.drain_time(router, output));
         }
@@ -590,7 +585,7 @@ mod tests {
     #[test]
     fn magnitude_only_delta_drops_nothing() {
         let (mesh, flows) = all_to_memory(4);
-        let mut tracked = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
+        let mut tracked = RegularWcttModel::new(&flows, 4);
         tracked.route_wctt(&route(&mesh, (3, 3), (0, 0)), 4);
         // Duplicating an existing flow only raises counts on triples that
         // already have support: nothing flips, so no term is dropped.
@@ -608,8 +603,8 @@ mod tests {
         let one = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
         let all = FlowSet::all_to_all(&mesh).unwrap();
         let r = route(&mesh, (3, 3), (0, 0));
-        let mut m_one = RegularWcttModel::new(&one, RouterTiming::CANONICAL, 1);
-        let mut m_all = RegularWcttModel::new(&all, RouterTiming::CANONICAL, 1);
+        let mut m_one = RegularWcttModel::new(&one, 1);
+        let mut m_all = RegularWcttModel::new(&all, 1);
         assert!(m_all.route_wctt(&r, 1) >= m_one.route_wctt(&r, 1));
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::analysis::regular::RegularWcttModel;
 use crate::analysis::weighted::WeightedWcttModel;
-use crate::config::RouterTiming;
 use crate::error::Result;
 use crate::flow::FlowSet;
 use crate::geometry::{Coord, MeshDims};
@@ -94,18 +93,13 @@ impl WcttTable {
     /// # Errors
     ///
     /// Returns an error if the mesh cannot be built or the scenario is invalid.
-    pub fn row(
-        side: u16,
-        scenario: FlowScenario,
-        timing: RouterTiming,
-        packet_flits: u32,
-    ) -> Result<WcttTableRow> {
+    pub fn row(side: u16, scenario: FlowScenario, packet_flits: u32) -> Result<WcttTableRow> {
         let mesh = Mesh::square(side)?;
         let flows = scenario.flow_set(&mesh)?;
-        let mut regular_model = RegularWcttModel::new(&flows, timing, packet_flits);
+        let mut regular_model = RegularWcttModel::new(&flows, packet_flits);
         // WaP slices every message into single-flit packets at the NIC, so
         // the weighted model's packet size is 1 regardless of `packet_flits`.
-        let weighted_model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), timing, 1);
+        let weighted_model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
         let mut regular_values = Vec::with_capacity(flows.len());
         let mut weighted_values = Vec::with_capacity(flows.len());
         for (id, _flow) in flows.iter() {
@@ -126,15 +120,10 @@ impl WcttTable {
     /// # Errors
     ///
     /// Returns an error if any row cannot be computed.
-    pub fn for_sizes(
-        sides: &[u16],
-        scenario: FlowScenario,
-        timing: RouterTiming,
-        packet_flits: u32,
-    ) -> Result<Self> {
+    pub fn for_sizes(sides: &[u16], scenario: FlowScenario, packet_flits: u32) -> Result<Self> {
         let rows = sides
             .iter()
-            .map(|&side| Self::row(side, scenario, timing, packet_flits))
+            .map(|&side| Self::row(side, scenario, packet_flits))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self { rows })
     }
@@ -145,13 +134,8 @@ impl WcttTable {
     /// # Errors
     ///
     /// Never fails in practice; kept for API uniformity.
-    pub fn table2(timing: RouterTiming) -> Result<Self> {
-        Self::for_sizes(
-            &[2, 3, 4, 5, 6, 7, 8],
-            FlowScenario::paper_default(),
-            timing,
-            1,
-        )
+    pub fn table2() -> Result<Self> {
+        Self::for_sizes(&[2, 3, 4, 5, 6, 7, 8], FlowScenario::paper_default(), 1)
     }
 
     /// The table rows.
@@ -196,8 +180,7 @@ mod tests {
 
     #[test]
     fn row_basic_properties() {
-        let row =
-            WcttTable::row(4, FlowScenario::paper_default(), RouterTiming::CANONICAL, 1).unwrap();
+        let row = WcttTable::row(4, FlowScenario::paper_default(), 1).unwrap();
         assert_eq!(row.dims.node_count(), 16);
         assert!(row.regular.max >= row.regular.mean as u64);
         assert!(row.regular.min <= row.regular.mean as u64);
@@ -212,7 +195,7 @@ mod tests {
         //  * for the small 2x2 mesh the two designs are comparable;
         //  * for the 8x8 mesh the regular max is orders of magnitude above
         //    WaW+WaP's, while the regular min stays below WaW+WaP's min.
-        let table = WcttTable::table2(RouterTiming::CANONICAL).unwrap();
+        let table = WcttTable::table2().unwrap();
         let rows = table.rows();
         assert_eq!(rows.len(), 7);
 
@@ -243,7 +226,7 @@ mod tests {
 
     #[test]
     fn waw_wap_max_scales_roughly_linearly_with_flows() {
-        let table = WcttTable::table2(RouterTiming::CANONICAL).unwrap();
+        let table = WcttTable::table2().unwrap();
         for row in table.rows() {
             let flows = (row.dims.node_count() - 1) as u64;
             // Between 2 and 8 "cycles per contending flow", as in the paper
@@ -255,13 +238,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_sizes() {
-        let table = WcttTable::for_sizes(
-            &[2, 3],
-            FlowScenario::paper_default(),
-            RouterTiming::CANONICAL,
-            1,
-        )
-        .unwrap();
+        let table = WcttTable::for_sizes(&[2, 3], FlowScenario::paper_default(), 1).unwrap();
         let text = table.render();
         assert!(text.contains("2x2"));
         assert!(text.contains("3x3"));
@@ -269,7 +246,7 @@ mod tests {
 
     #[test]
     fn all_to_all_scenario_also_works() {
-        let row = WcttTable::row(3, FlowScenario::AllToAll, RouterTiming::CANONICAL, 1).unwrap();
+        let row = WcttTable::row(3, FlowScenario::AllToAll, 1).unwrap();
         assert!(row.regular.max > row.waw_wap.max);
     }
 }

@@ -110,15 +110,11 @@ impl UbdModel {
         config.validate()?;
         let contender = config.packetization.worst_case_contender_flits();
         let (regular, weighted) = match config.arbitration {
-            ArbitrationPolicy::RoundRobin => (
-                Some(RegularWcttModel::new(flows, config.timing, contender)),
-                None,
-            ),
+            ArbitrationPolicy::RoundRobin => (Some(RegularWcttModel::new(flows, contender)), None),
             ArbitrationPolicy::Waw => (
                 None,
                 Some(WeightedWcttModel::new(
                     WeightTable::from_flow_set(flows),
-                    config.timing,
                     contender,
                 )),
             ),
@@ -139,9 +135,7 @@ impl UbdModel {
     /// The wire packets an `message_flits`-flit message occupies under the
     /// active packetization policy.
     fn split(&self, message_flits: u32) -> Split {
-        self.config
-            .packetization
-            .split(message_flits, self.config.geometry)
+        self.config.packetization.split(message_flits)
     }
 
     /// WCTT bound for one `message_flits`-flit message following `route`: the

@@ -27,7 +27,7 @@
 //! with the number of contending flows, which is the scalability claim of the
 //! paper (Table II).
 
-use crate::config::RouterTiming;
+use crate::config::{EJECTION_CHARGE, LINK_CHARGE, ROUTER_CHARGE};
 use crate::routing::Route;
 use crate::weights::WeightTable;
 
@@ -37,7 +37,6 @@ use crate::weights::WeightTable;
 ///
 /// ```
 /// use wnoc_core::analysis::WeightedWcttModel;
-/// use wnoc_core::config::RouterTiming;
 /// use wnoc_core::flow::FlowSet;
 /// use wnoc_core::geometry::Coord;
 /// use wnoc_core::routing::{RoutingAlgorithm, XyRouting};
@@ -46,8 +45,7 @@ use crate::weights::WeightTable;
 ///
 /// let mesh = Mesh::square(8)?;
 /// let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0))?;
-/// let model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows),
-///                                    RouterTiming::CANONICAL, 1);
+/// let model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
 /// let far = XyRouting.route(&mesh, Coord::from_row_col(7, 7), Coord::from_row_col(0, 0))?;
 /// // The corner node's bound stays in the hundreds of cycles (Table II reports
 /// // 310 for the 8x8 mesh) instead of the millions of the regular design.
@@ -58,17 +56,15 @@ use crate::weights::WeightTable;
 #[derive(Debug, Clone)]
 pub struct WeightedWcttModel {
     weights: WeightTable,
-    timing: RouterTiming,
     /// Minimum packet (slice) size in flits — the paper's `m`, normally 1.
     slice_flits: u32,
 }
 
 impl WeightedWcttModel {
     /// Creates a model from the weight table of the platform's flow set.
-    pub fn new(weights: WeightTable, timing: RouterTiming, slice_flits: u32) -> Self {
+    pub fn new(weights: WeightTable, slice_flits: u32) -> Self {
         Self {
             weights,
-            timing,
             slice_flits: slice_flits.max(1),
         }
     }
@@ -104,17 +100,13 @@ impl WeightedWcttModel {
 
     /// WCTT bound for a single `m`-flit packet (slice) following `route`.
     pub fn packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
         let m = u64::from(self.slice_flits);
         let mut total = 0u64;
         for hop in route.hops() {
             let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
-            total += u64::from(timing.router_cycles) + (flows - 1) * m;
+            total += ROUTER_CHARGE + (flows - 1) * m;
         }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+        total + LINK_CHARGE * u64::from(route.hop_count()) + EJECTION_CHARGE + (m - 1)
     }
 
     /// WCTT bound for a message sliced into `slices` packets following `route`.
@@ -156,7 +148,6 @@ impl WeightedWcttModel {
     /// paper's single-destination evaluation platform); see
     /// [`crate::flow::FlowSet::is_output_consistent`].
     pub fn backpressured_packet_wctt(&self, route: &Route) -> u64 {
-        let timing = self.timing;
         let m = u64::from(self.slice_flits);
         // One pass from the destination back: the suffix maximum is the
         // dilated round of each hop, and the sum is order-independent.
@@ -165,12 +156,9 @@ impl WeightedWcttModel {
         for hop in route.hops().iter().rev() {
             let flows = u64::from(self.weights.output_flows(hop.router, hop.output)).max(1);
             suffix_max = suffix_max.max(flows);
-            total += u64::from(timing.router_cycles) + suffix_max * m;
+            total += ROUTER_CHARGE + suffix_max * m;
         }
-        total
-            + u64::from(timing.link_cycles) * u64::from(route.hop_count())
-            + u64::from(timing.ejection_cycles)
-            + (m - 1)
+        total + LINK_CHARGE * u64::from(route.hop_count()) + EJECTION_CHARGE + (m - 1)
     }
 
     /// Message-level companion of
@@ -189,6 +177,7 @@ impl WeightedWcttModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::zero_load_head_latency;
     use crate::flow::FlowSet;
     use crate::geometry::Coord;
     use crate::routing::{RoutingAlgorithm, XyRouting};
@@ -197,11 +186,7 @@ mod tests {
     fn setup(side: u16) -> (Mesh, FlowSet, WeightedWcttModel) {
         let mesh = Mesh::square(side).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
-        let model = WeightedWcttModel::new(
-            WeightTable::from_flow_set(&flows),
-            RouterTiming::CANONICAL,
-            1,
-        );
+        let model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
         (mesh, flows, model)
     }
 
@@ -262,7 +247,7 @@ mod tests {
         use crate::analysis::regular::RegularWcttModel;
         let (mesh, flows, model) = setup(8);
         let far = route(&mesh, (7, 7), (0, 0));
-        let mut regular = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut regular = RegularWcttModel::new(&flows, 1);
         let reg = regular.route_wctt(&far, 1);
         let waw = model.packet_wctt(&far);
         assert!(
@@ -314,7 +299,7 @@ mod tests {
         assert!(backpressured < 4 * paper, "{backpressured} vs {paper}");
         use crate::analysis::regular::RegularWcttModel;
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
-        let mut regular = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 1);
+        let mut regular = RegularWcttModel::new(&flows, 1);
         assert!(regular.route_wctt(&far, 1) > 100 * backpressured);
     }
 
@@ -324,11 +309,7 @@ mod tests {
         let near = route(&mesh, (0, 1), (0, 0));
         // One West hop then ejection: the ejection port is shared by all 15
         // flows, so both hops dilate to the 15-slot round.
-        let t = RouterTiming::CANONICAL;
-        let expected = 2 * u64::from(t.router_cycles)
-            + 2 * 15
-            + u64::from(t.link_cycles)
-            + u64::from(t.ejection_cycles);
+        let expected = 2 * ROUTER_CHARGE + 2 * 15 + LINK_CHARGE + EJECTION_CHARGE;
         assert_eq!(model.backpressured_packet_wctt(&near), expected);
     }
 
@@ -340,10 +321,7 @@ mod tests {
                 continue;
             }
             let r = XyRouting.route(&mesh, src, Coord::new(0, 0)).unwrap();
-            assert!(
-                model.packet_wctt(&r)
-                    >= RouterTiming::CANONICAL.zero_load_head_latency(r.hop_count())
-            );
+            assert!(model.packet_wctt(&r) >= zero_load_head_latency(r.hop_count()));
         }
     }
 
@@ -352,8 +330,8 @@ mod tests {
         let mesh = Mesh::square(4).unwrap();
         let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
         let weights = WeightTable::from_flow_set(&flows);
-        let m1 = WeightedWcttModel::new(weights.clone(), RouterTiming::CANONICAL, 1);
-        let m2 = WeightedWcttModel::new(weights, RouterTiming::CANONICAL, 2);
+        let m1 = WeightedWcttModel::new(weights.clone(), 1);
+        let m2 = WeightedWcttModel::new(weights, 2);
         let r = route(&mesh, (3, 3), (0, 0));
         assert!(m2.packet_wctt(&r) > m1.packet_wctt(&r));
     }

@@ -39,10 +39,8 @@
 //!
 //! ```
 //! use wnoc_core::analysis::{table::FlowScenario, WcttTable};
-//! use wnoc_core::config::RouterTiming;
 //!
-//! let table = WcttTable::for_sizes(&[2, 3, 4], FlowScenario::paper_default(),
-//!                                  RouterTiming::CANONICAL, 1)?;
+//! let table = WcttTable::for_sizes(&[2, 3, 4], FlowScenario::paper_default(), 1)?;
 //! let last = table.rows().last().unwrap();
 //! // The regular design's worst-case blows up; WaW+WaP stays tight.
 //! assert!(last.regular.max > 5 * last.waw_wap.max);
@@ -74,14 +72,14 @@ pub mod weights;
 pub use arbitration::ArbitrationPolicy;
 pub use arrival::ArrivalCurve;
 pub use buffers::BufferConfig;
-pub use config::{NocConfig, RouterTiming};
+pub use config::{zero_load_head_latency, NocConfig};
 pub use error::{Error, Result, StallCause};
 pub use fault::{Fault, FaultKind, FaultPlan, FaultSet, RetransmitPolicy, TreeRouting};
 pub use flow::{Flow, FlowId, FlowSet};
 pub use geometry::{Coord, MeshDims, NodeId};
 pub use overhead::{MeshOverhead, RouterOverhead};
 pub use packet::{Cycle, Flit, FlitKind, MessageId, PacketId};
-pub use packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry, Split};
+pub use packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, Split};
 pub use port::{Direction, Port};
 pub use routing::{Hop, Route, RoutingAlgorithm, XyRouting};
 pub use topology::{Link, Mesh};

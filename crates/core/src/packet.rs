@@ -103,7 +103,7 @@ pub struct Flit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry};
+    use crate::packetization::{MessageDescriptor, PacketizationPolicy, Packetizer};
 
     /// The flits of one `len`-flit packet, as the packetizer emits them for a
     /// message created at cycle `created`.
@@ -111,7 +111,7 @@ mod tests {
         let policy = PacketizationPolicy::Regular {
             max_packet_flits: len,
         };
-        let mut packetizer = Packetizer::new(policy, PhitGeometry::PAPER).unwrap();
+        let mut packetizer = Packetizer::new(policy).unwrap();
         let msg = MessageDescriptor {
             id: MessageId(1),
             flow: FlowId(0),

@@ -25,68 +25,16 @@ use crate::flow::FlowId;
 use crate::geometry::NodeId;
 use crate::packet::{Flit, FlitKind, MessageId, PacketId};
 
-/// Link and header geometry used to convert message payload bits into flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhitGeometry {
-    /// Width of a link / flit in bits (the paper uses 132-bit links).
-    pub link_width_bits: u32,
-    /// Control/routing information attached to every packet, in bits (the paper
-    /// uses 16 bits).
-    pub control_bits: u32,
-}
+/// Width of a link, and so of a flit, in bits: the paper's 132-bit links.
+pub const LINK_WIDTH_BITS: u32 = 132;
 
-impl PhitGeometry {
-    /// The geometry used throughout the paper's evaluation: 132-bit links and
-    /// 16 bits of control information per packet.
-    pub const PAPER: PhitGeometry = PhitGeometry {
-        link_width_bits: 132,
-        control_bits: 16,
-    };
+/// Control/routing information attached to every packet, in bits: the
+/// paper's 16 bits.
+pub const CONTROL_BITS: u32 = 16;
 
-    /// Creates a geometry description.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the link is not wider than the control
-    /// information (no payload could ever be carried).
-    pub fn new(link_width_bits: u32, control_bits: u32) -> Result<Self> {
-        if link_width_bits == 0 || link_width_bits <= control_bits {
-            return Err(Error::InvalidConfig {
-                reason: format!(
-                    "link width ({link_width_bits} bits) must exceed control bits ({control_bits})"
-                ),
-            });
-        }
-        Ok(Self {
-            link_width_bits,
-            control_bits,
-        })
-    }
-
-    /// Payload bits carried by a single flit when the packet header travels in
-    /// its own right (i.e. every flit of a WaP slice).
-    pub fn payload_bits_per_wap_flit(&self) -> u32 {
-        self.link_width_bits - self.control_bits
-    }
-
-    /// Number of flits of a regular (single) packet carrying `payload_bits` of
-    /// payload plus one copy of the control information.
-    pub fn regular_flits(&self, payload_bits: u32) -> u32 {
-        div_ceil(payload_bits + self.control_bits, self.link_width_bits).max(1)
-    }
-
-    /// Number of single-flit packets a WaP NIC produces for `payload_bits` of
-    /// payload (each flit re-embeds the control information).
-    pub fn wap_slices(&self, payload_bits: u32) -> u32 {
-        div_ceil(payload_bits, self.payload_bits_per_wap_flit()).max(1)
-    }
-}
-
-impl Default for PhitGeometry {
-    fn default() -> Self {
-        Self::PAPER
-    }
-}
+/// Payload bits a WaP slice flit carries beside its own copy of the control
+/// information.
+const WAP_PAYLOAD_BITS: u32 = LINK_WIDTH_BITS - CONTROL_BITS;
 
 /// The packetization policy applied by the network interfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,17 +87,18 @@ impl PacketizationPolicy {
 
     /// How a `message_flits`-flit message is cut into wire packets under
     /// this policy: greedy maximum-size packets under regular packetization
-    /// (none for an empty message), `geometry.wap_slices` minimum-size slices
-    /// (payload plus per-slice control overhead, at least one) under WaP.
+    /// (none for an empty message), under WaP enough minimum-size slices to
+    /// carry the message's payload bits when every slice repeats the
+    /// [`CONTROL_BITS`] (at least one).
     ///
     /// This is the one slicing rule: every analysis composes its per-packet
     /// terms over it and the NIC emits exactly its packets
     /// ([`Packetizer::flits`]).
-    pub fn split(&self, message_flits: u32, geometry: PhitGeometry) -> Split {
+    pub fn split(&self, message_flits: u32) -> Split {
         match *self {
             PacketizationPolicy::Regular { max_packet_flits } => {
                 let max = max_packet_flits.max(1);
-                let packets = div_ceil(message_flits, max);
+                let packets = message_flits.div_ceil(max);
                 let last = message_flits - packets.saturating_sub(1) * max;
                 Split {
                     packets,
@@ -158,9 +107,11 @@ impl PacketizationPolicy {
                 }
             }
             PacketizationPolicy::Wap { min_packet_flits } => {
-                let payload_bits = regular_payload_bits(geometry, message_flits);
+                // One copy of the control information travels with the
+                // regular packet; the rest of its flits is payload.
+                let payload_bits = (message_flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
                 Split {
-                    packets: geometry.wap_slices(payload_bits),
+                    packets: payload_bits.div_ceil(WAP_PAYLOAD_BITS).max(1),
                     size: min_packet_flits,
                     last: min_packet_flits,
                 }
@@ -271,21 +222,19 @@ pub struct MessageDescriptor {
 #[derive(Debug, Clone)]
 pub struct Packetizer {
     policy: PacketizationPolicy,
-    geometry: PhitGeometry,
     next_packet: u64,
 }
 
 impl Packetizer {
-    /// Creates a packetizer for the given policy and link geometry.
+    /// Creates a packetizer for the given policy.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the policy parameters are invalid.
-    pub fn new(policy: PacketizationPolicy, geometry: PhitGeometry) -> Result<Self> {
+    pub fn new(policy: PacketizationPolicy) -> Result<Self> {
         policy.validate()?;
         Ok(Self {
             policy,
-            geometry,
             next_packet: 0,
         })
     }
@@ -295,15 +244,10 @@ impl Packetizer {
         self.policy
     }
 
-    /// The link geometry.
-    pub fn geometry(&self) -> PhitGeometry {
-        self.geometry
-    }
-
     /// Total number of flits the given message occupies on the wire under the
     /// active policy.
     pub fn wire_flits(&self, regular_flits: u32) -> u32 {
-        self.policy.split(regular_flits, self.geometry).wire_flits()
+        self.policy.split(regular_flits).wire_flits()
     }
 
     /// The flits of `msg`, in injection order: the packets of its
@@ -318,7 +262,7 @@ impl Packetizer {
         if msg.regular_flits == 0 {
             return Err(Error::EmptyMessage);
         }
-        let split = self.policy.split(msg.regular_flits, self.geometry);
+        let split = self.policy.split(msg.regular_flits);
         let first_packet = self.next_packet;
         self.next_packet += u64::from(split.packets);
         let msg = *msg;
@@ -339,23 +283,12 @@ impl Packetizer {
     }
 }
 
-/// Payload bits carried by a message that occupies `regular_flits` flits under
-/// regular packetization (one copy of the control information is subtracted).
-fn regular_payload_bits(geometry: PhitGeometry, regular_flits: u32) -> u32 {
-    (regular_flits * geometry.link_width_bits).saturating_sub(geometry.control_bits)
-}
-
-fn div_ceil(a: u32, b: u32) -> u32 {
-    a.div_ceil(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn split_message_covers_both_policies() {
-        let geometry = PhitGeometry::PAPER;
         let regular = PacketizationPolicy::Regular {
             max_packet_flits: 4,
         };
@@ -364,11 +297,11 @@ mod tests {
                 .map(|index| split.packet_flits(index))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(sizes(regular.split(4, geometry)), vec![4]);
-        assert_eq!(sizes(regular.split(10, geometry)), vec![4, 4, 2]);
-        assert_eq!(sizes(regular.split(1, geometry)), vec![1]);
+        assert_eq!(sizes(regular.split(4)), vec![4]);
+        assert_eq!(sizes(regular.split(10)), vec![4, 4, 2]);
+        assert_eq!(sizes(regular.split(1)), vec![1]);
         assert_eq!(
-            regular.split(10, geometry),
+            regular.split(10),
             Split {
                 packets: 3,
                 size: 4,
@@ -377,7 +310,7 @@ mod tests {
         );
         // An empty message needs no regular packet ...
         assert_eq!(
-            regular.split(0, geometry),
+            regular.split(0),
             Split {
                 packets: 0,
                 size: 0,
@@ -387,17 +320,17 @@ mod tests {
 
         let wap = PacketizationPolicy::wap();
         // A 4-flit cache line becomes 5 single-flit slices (control overhead).
-        assert_eq!(sizes(wap.split(4, geometry)), vec![1, 1, 1, 1, 1]);
-        assert_eq!(sizes(wap.split(1, geometry)), vec![1]);
+        assert_eq!(sizes(wap.split(4)), vec![1, 1, 1, 1, 1]);
+        assert_eq!(sizes(wap.split(1)), vec![1]);
         // ... but still one WaP slice.
-        assert_eq!(sizes(wap.split(0, geometry)), vec![1]);
+        assert_eq!(sizes(wap.split(0)), vec![1]);
 
         // The closed-form sum is the per-packet sum, saturating like a fold
         // of saturating adds.
-        let split = regular.split(10, geometry);
+        let split = regular.split(10);
         assert_eq!(split.sum(|flits| u64::from(flits) * 100 + 1), 1003);
         assert_eq!(split.sum(|_| u64::MAX / 2), u64::MAX);
-        assert_eq!(regular.split(0, geometry).sum(|_| 7), 0);
+        assert_eq!(regular.split(0).sum(|_| 7), 0);
     }
 
     fn msg(flits: u32) -> MessageDescriptor {
@@ -427,24 +360,15 @@ mod tests {
     fn paper_geometry_cache_line() {
         // 64-byte cache line = 512 payload bits + 16 control bits on 132-bit
         // links: 4 flits under regular packetization, 5 slices under WaP.
-        let g = PhitGeometry::PAPER;
-        assert_eq!(g.regular_flits(512), 4);
-        assert_eq!(g.wap_slices(512), 5);
+        assert_eq!((512 + CONTROL_BITS).div_ceil(LINK_WIDTH_BITS), 4);
+        assert_eq!(512u32.div_ceil(WAP_PAYLOAD_BITS), 5);
         // That is the 25% overhead quoted in Section IV.
         assert_eq!(5 * 100 / 4, 125);
     }
 
     #[test]
-    fn geometry_rejects_degenerate_links() {
-        assert!(PhitGeometry::new(16, 16).is_err());
-        assert!(PhitGeometry::new(0, 0).is_err());
-        assert!(PhitGeometry::new(132, 16).is_ok());
-    }
-
-    #[test]
     fn regular_packetization_single_packet() {
-        let mut p =
-            Packetizer::new(PacketizationPolicy::regular_l4(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::regular_l4()).unwrap();
         let packets = packets(&mut p, 4);
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].1.len(), 4);
@@ -453,12 +377,9 @@ mod tests {
 
     #[test]
     fn regular_packetization_splits_oversized_messages() {
-        let mut p = Packetizer::new(
-            PacketizationPolicy::Regular {
-                max_packet_flits: 4,
-            },
-            PhitGeometry::PAPER,
-        )
+        let mut p = Packetizer::new(PacketizationPolicy::Regular {
+            max_packet_flits: 4,
+        })
         .unwrap();
         let packets = packets(&mut p, 10);
         assert_eq!(packets.len(), 3);
@@ -470,7 +391,7 @@ mod tests {
 
     #[test]
     fn wap_slices_cache_line_into_five_single_flit_packets() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
         let packets = packets(&mut p, 4);
         assert_eq!(packets.len(), 5);
         assert!(packets
@@ -484,7 +405,7 @@ mod tests {
     fn wap_single_flit_message_stays_single_flit() {
         // A one-flit request has no payload beyond its control information, so
         // WaP does not inflate it (the paper's load requests stay one flit).
-        let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
         let packets = packets(&mut p, 1);
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].1.len(), 1);
@@ -493,7 +414,7 @@ mod tests {
 
     #[test]
     fn packet_ids_are_unique_and_sequential() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
         let a = packets(&mut p, 4);
         let b = packets(&mut p, 4);
         let ids: Vec<u64> = a.iter().chain(b.iter()).map(|(id, _)| *id).collect();
@@ -502,10 +423,9 @@ mod tests {
 
     #[test]
     fn empty_message_rejected() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
         assert!(p.flits(&msg(0)).is_err());
-        let mut p =
-            Packetizer::new(PacketizationPolicy::regular_l4(), PhitGeometry::PAPER).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::regular_l4()).unwrap();
         assert!(p.flits(&msg(0)).is_err());
         // A rejected message consumes no packet id.
         assert_eq!(
@@ -538,12 +458,9 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(Packetizer::new(
-            PacketizationPolicy::Regular {
-                max_packet_flits: 0
-            },
-            PhitGeometry::PAPER
-        )
+        assert!(Packetizer::new(PacketizationPolicy::Regular {
+            max_packet_flits: 0
+        })
         .is_err());
     }
 }

@@ -282,8 +282,11 @@ fn run_sequence(side: u16, config: NocConfig, seed: u64, mutation_count: usize) 
     assert_matches_scratch(&mut engine, &mirror, &all);
 }
 
+// Stale-cache bugs in the engine's invalidation show on few of the sampled
+// sequences: a mutant that skips the drain-value check passes both
+// properties at 12 cases and fails at 600 (about 5 s in a debug build).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(600))]
 
     /// 1–50 random mutations over a random design, round-robin arbitration:
     /// every suite bound stays bit-identical to from-scratch construction,

@@ -8,10 +8,12 @@ use proptest::prelude::*;
 use wnoc_core::analysis::preemptive::PreemptiveOracle;
 use wnoc_core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc_core::arbitration::{RoundRobinArbiter, WawArbiter};
-use wnoc_core::config::RouterTiming;
+use wnoc_core::config::zero_load_head_latency;
 use wnoc_core::flow::FlowSet;
 use wnoc_core::geometry::Coord;
-use wnoc_core::packetization::{MessageDescriptor, PacketizationPolicy, Packetizer, PhitGeometry};
+use wnoc_core::packetization::{
+    MessageDescriptor, PacketizationPolicy, Packetizer, CONTROL_BITS, LINK_WIDTH_BITS,
+};
 use wnoc_core::port::{Direction, Port};
 use wnoc_core::routing::{xy_turn_allowed, Route, RoutingAlgorithm, XyRouting};
 use wnoc_core::topology::Mesh;
@@ -28,7 +30,7 @@ fn mesh_dims() -> impl Strategy<Value = (u16, u16)> {
 /// packets until the message is used up under regular packetization; under
 /// WaP, `m`-flit slices each carrying one slice's worth of payload bits until
 /// the payload is carried, and at least one slice.
-fn reference_sizes(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u32) -> Vec<u32> {
+fn reference_sizes(policy: PacketizationPolicy, flits: u32) -> Vec<u32> {
     let mut sizes = Vec::new();
     match policy {
         PacketizationPolicy::Regular { max_packet_flits } => {
@@ -40,11 +42,10 @@ fn reference_sizes(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u
             }
         }
         PacketizationPolicy::Wap { min_packet_flits } => {
-            let mut payload =
-                (flits * geometry.link_width_bits).saturating_sub(geometry.control_bits);
+            let mut payload = (flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
             loop {
                 sizes.push(min_packet_flits);
-                payload = payload.saturating_sub(geometry.payload_bits_per_wap_flit());
+                payload = payload.saturating_sub(LINK_WIDTH_BITS - CONTROL_BITS);
                 if payload == 0 {
                     break;
                 }
@@ -57,12 +58,12 @@ fn reference_sizes(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u
 /// The split of a `flits`-flit message equals the greedy reference, its flit
 /// total equals `wire_flits`, and the packetizer emits exactly its packets,
 /// with sequential ids across two messages (a zero-flit message is rejected).
-fn check_split(policy: PacketizationPolicy, geometry: PhitGeometry, flits: u32) {
-    let split = policy.split(flits, geometry);
+fn check_split(policy: PacketizationPolicy, flits: u32) {
+    let split = policy.split(flits);
     let sizes: Vec<u32> = (0..split.packets).map(|i| split.packet_flits(i)).collect();
-    let reference = reference_sizes(policy, geometry, flits);
+    let reference = reference_sizes(policy, flits);
     assert_eq!(&sizes, &reference);
-    let mut packetizer = Packetizer::new(policy, geometry).unwrap();
+    let mut packetizer = Packetizer::new(policy).unwrap();
     assert_eq!(split.wire_flits(), reference.iter().sum::<u32>());
     assert_eq!(packetizer.wire_flits(flits), split.wire_flits());
     let msg = MessageDescriptor {
@@ -173,25 +174,25 @@ proptest! {
     }
 
     /// WaP slicing preserves the payload: the slices carry at least as many
-    /// payload bits as the original message and the slice count matches the
-    /// closed-form `wap_slices`.  The split agrees with the greedy reference,
-    /// `wire_flits` and the packetizer's flits.
+    /// payload bits as the original message and the slice count is the
+    /// closed-form `⌈payload / (link width − control)⌉` (at least one).  The
+    /// split agrees with the greedy reference, `wire_flits` and the
+    /// packetizer's flits.
     #[test]
     fn wap_slicing_preserves_payload(regular_flits in 0u32..64, min_packet in 1u32..16) {
-        let geometry = PhitGeometry::PAPER;
         let policy = PacketizationPolicy::Wap { min_packet_flits: min_packet };
-        let split = policy.split(regular_flits, geometry);
-        let payload_bits = (regular_flits * geometry.link_width_bits)
-            .saturating_sub(geometry.control_bits);
-        prop_assert_eq!(split.packets, geometry.wap_slices(payload_bits));
+        let split = policy.split(regular_flits);
+        let payload_bits = (regular_flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
+        let slice_payload = LINK_WIDTH_BITS - CONTROL_BITS;
+        prop_assert_eq!(split.packets, payload_bits.div_ceil(slice_payload).max(1));
         // Every slice can carry link_width - control payload bits; together they
         // cover the original payload.
-        let capacity = split.packets * geometry.payload_bits_per_wap_flit();
+        let capacity = split.packets * slice_payload;
         prop_assert!(capacity >= payload_bits);
         // The wire overhead never exceeds one extra slice per original flit
         // (an empty message still sends one slice).
         prop_assert!(split.packets <= (2 * regular_flits).max(1));
-        check_split(policy, geometry, regular_flits);
+        check_split(policy, regular_flits);
     }
 
     /// Regular packetization never produces packets larger than L and covers
@@ -202,12 +203,11 @@ proptest! {
         regular_flits in 0u32..64,
         max_packet in 1u32..16,
     ) {
-        let geometry = PhitGeometry::PAPER;
         let policy = PacketizationPolicy::Regular { max_packet_flits: max_packet };
-        let split = policy.split(regular_flits, geometry);
+        let split = policy.split(regular_flits);
         prop_assert_eq!(split.wire_flits(), regular_flits);
         prop_assert!(split.size <= max_packet && split.last <= max_packet);
-        check_split(policy, geometry, regular_flits);
+        check_split(policy, regular_flits);
     }
 
     /// The weighted arbiter's long-run grant shares match the configured quotas
@@ -269,10 +269,9 @@ proptest! {
         let src = mesh.coord_of(NodeId((seed % nodes) as usize)).unwrap();
         prop_assume!(src != memory);
         let route = XyRouting.route(&mesh, src, memory).unwrap();
-        let timing = RouterTiming::CANONICAL;
-        let mut regular = RegularWcttModel::new(&flows, timing, 1);
-        let weighted = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), timing, 1);
-        let zero_load = timing.zero_load_head_latency(route.hop_count());
+        let mut regular = RegularWcttModel::new(&flows, 1);
+        let weighted = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
+        let zero_load = zero_load_head_latency(route.hop_count());
         let reg = regular.route_wctt(&route, 1);
         let waw = weighted.packet_wctt(&route);
         prop_assert!(reg >= zero_load);
@@ -318,8 +317,8 @@ proptest! {
         let corner = XyRouting
             .route(&mesh, Coord::new(side - 1, side - 1), memory)
             .unwrap();
-        let mut small = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, l);
-        let mut large = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, l + 1);
+        let mut small = RegularWcttModel::new(&flows, l);
+        let mut large = RegularWcttModel::new(&flows, l + 1);
         prop_assert!(large.route_wctt(&corner, 1) >= small.route_wctt(&corner, 1));
     }
 }

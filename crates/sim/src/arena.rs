@@ -3,8 +3,8 @@
 //! The execution kernel never moves [`Flit`] values around the network.
 //! Flits are allocated into the arena when a NIC packetizes a message and
 //! freed when they are ejected at their destination; in between, every queue
-//! in the system — router input buffers, link pipelines, NIC injection
-//! queues — holds 4-byte [`FlitId`] handles instead of 64-byte flit structs.
+//! in the system — router input buffers and NIC injection queues — holds
+//! 4-byte [`FlitId`] handles instead of 64-byte flit structs.
 //!
 //! Slots are recycled through an internal free list, so after a warm-up
 //! period in which the slab grows to the peak number of concurrently live

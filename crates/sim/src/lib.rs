@@ -6,10 +6,10 @@
 //!
 //! The simulator models:
 //!
-//! * input-buffered single-cycle wormhole routers with XY routing, credit-based
-//!   flow control and a pluggable output arbitration policy (round robin or the
-//!   WaW weighted round robin) — [`router`];
-//! * pipelined links of configurable latency — [`link`];
+//! * input-buffered wormhole routers with XY routing, credit-based flow
+//!   control and a pluggable output arbitration policy (round robin or the
+//!   WaW weighted round robin), joined by one-cycle wires — [`router`],
+//!   [`network`];
 //! * network interfaces performing regular or WaP packetization — [`nic`];
 //! * the complete mesh with end-to-end message tracking and statistics —
 //!   [`network`], [`stats`];
@@ -21,7 +21,7 @@
 //!
 //! Execution uses an allocation-free **event-horizon kernel**: all in-flight
 //! flits live in one [`arena`] slab and every queue holds 4-byte handles,
-//! worklists restrict each cycle to the routers, links and NICs that can
+//! worklists restrict each cycle to the routers and NICs that can
 //! actually *act* (blocked components are skipped, their arbiter state
 //! replayed lazily in closed form), drivers jump the clock straight to the
 //! next event horizon, and a lone worm in an otherwise-empty network is
@@ -56,7 +56,6 @@ pub mod arena;
 pub mod arrival;
 pub mod buffer;
 pub mod hash;
-pub mod link;
 pub mod network;
 pub mod nic;
 pub mod router;

@@ -1,16 +1,26 @@
-//! The complete NoC: routers, links, NICs and end-to-end message tracking,
+//! The complete NoC: routers, wires, NICs and end-to-end message tracking,
 //! executed by an allocation-free **event-horizon kernel**.
+//!
+//! # Timing
+//!
+//! Every wire takes one cycle: a flit a router forwards onto a mesh output
+//! in cycle `t` enters the neighbour's facing input buffer in the same step,
+//! so the neighbour can forward it again in cycle `t + 1`.  Routers and the
+//! ejection port add no cycle of their own.  A lone single-flit message
+//! therefore crosses `h` hops in `h + 1` cycles from injection to ejection,
+//! while the WCTT analyses charge it `2h + 2` (see
+//! [`wnoc_core::config::ROUTER_CHARGE`]).
 //!
 //! # Kernel design
 //!
 //! Flits live in one contiguous [`FlitArena`]; every queue (router input
-//! buffers, link pipelines, NIC injection queues) holds 4-byte [`FlitId`]
-//! handles.  [`Network::step`] runs the same four phases as the dense
-//! reference kernel — router decisions, link deliveries, NIC injection,
-//! ejection bookkeeping — but each phase only visits the components on its
-//! worklist.  The worklists track *actability*, not mere occupancy: each
-//! component stays listed only while its behaviour in the next cycle can
-//! differ from the closed-form extrapolation of doing nothing.
+//! buffers, NIC injection queues) holds 4-byte [`FlitId`] handles.
+//! [`Network::step`] runs the same four phases as the dense reference
+//! kernel — router decisions, wire deliveries, NIC injection, ejection
+//! bookkeeping — but routers and NICs are only visited while they are on
+//! their worklist.  The worklists track *actability*, not mere occupancy:
+//! each component stays listed only while its behaviour in the next cycle
+//! can differ from the closed-form extrapolation of doing nothing.
 //!
 //! * a **router** is listed while it may forward a flit.  A decision pass
 //!   that forwards nothing proves the router blocked — with frozen inputs it
@@ -24,8 +34,6 @@
 //!   smaller index (the sweep runs in ascending index order, so the upstream
 //!   router is woken into the in-progress sweep at its sorted position),
 //!   next cycle otherwise;
-//! * a **link** is listed while flits are in flight on it; its horizon is
-//!   the absolute delivery cycle already stored at the head of its ring;
 //! * a **NIC** is listed while it can actually inject: a back-logged NIC
 //!   whose local input buffer is full leaves the worklist and is re-listed
 //!   the moment the router forwards a flit out of that buffer (same cycle —
@@ -76,12 +84,11 @@ use wnoc_core::{
 
 use crate::arena::{FlitArena, FlitId};
 use crate::hash::FxBuildHasher;
-use crate::link::SimLink;
 use crate::nic::Nic;
 use crate::router::{Forward, Router};
 use crate::stats::NetworkStats;
 
-/// Sentinel for "no neighbour / no link" in the per-router lookup tables.
+/// Sentinel for "no neighbour" in the per-router lookup table.
 const NONE: u32 = u32::MAX;
 
 /// Upper bound on the flits a worm fast-forward can move (preallocates the
@@ -254,12 +261,6 @@ pub struct Network {
     vc_of: Vec<u8>,
     routers: Vec<Router>,
     nics: Vec<Nic>,
-    /// All unidirectional links, indexed densely.
-    links: Vec<SimLink>,
-    /// `(downstream router index, downstream input port)` per link.
-    link_dst: Vec<(u32, Port)>,
-    /// Outgoing link index per `(router, output port)`; [`NONE`] at edges.
-    link_out: Vec<[u32; Port::COUNT]>,
     /// Neighbour router index per `(router, mesh port)`; [`NONE`] at edges.
     neighbor: Vec<[u32; Port::COUNT]>,
     /// The flit slab shared by every queue in the network.
@@ -269,11 +270,9 @@ pub struct Network {
     /// hop, squarely on the hot path, so it must not cost a hash probe.
     port_flits: Vec<u64>,
     active_routers: ActiveSet,
-    active_links: ActiveSet,
     active_nics: ActiveSet,
     /// Reusable sweep scratch (the double buffer of each active set).
     scratch_routers: Vec<u32>,
-    scratch_links: Vec<u32>,
     scratch_nics: Vec<u32>,
     /// Reusable per-router forwarding scratch.
     scratch_forwards: Vec<Forward>,
@@ -284,12 +283,10 @@ pub struct Network {
     scratch_ff: Vec<FfHolder>,
     /// Reusable worm fast-forward scratch: per-router header grant inputs.
     scratch_heads: Vec<Port>,
-    /// Single-cycle-link fast path: flits pushed this cycle, in forward
-    /// order, delivered directly in phase 2 without touching the link rings
-    /// or their worklist (`true` iff the configured link latency is 1).
-    /// Entries carry the flit's VC so delivery needs no arena lookup.
-    wire_is_fast: bool,
-    scratch_wire: Vec<(u32, u8, FlitId)>,
+    /// Flits forwarded onto mesh outputs this cycle, in forward order, each
+    /// with its downstream router index, that router's input port and the
+    /// flit's VC (so delivery needs no arena lookup); phase 2 delivers them.
+    scratch_wire: Vec<(u32, Port, u8, FlitId)>,
     /// Dense reference scheduling: visit every flit-holding router and
     /// back-logged NIC every cycle, never jump the clock (the differential
     /// oracle for the event-horizon scheduler).
@@ -381,9 +378,6 @@ impl Network {
         let count = mesh.router_count();
         let mut routers = Vec::with_capacity(count);
         let mut nics = Vec::with_capacity(count);
-        let mut links = Vec::with_capacity(mesh.link_count());
-        let mut link_dst = Vec::with_capacity(mesh.link_count());
-        let mut link_out = vec![[NONE; Port::COUNT]; count];
         let mut neighbor = vec![[NONE; Port::COUNT]; count];
         for (index, coord) in mesh.routers().enumerate() {
             let node = mesh.node_id(coord)?;
@@ -412,20 +406,12 @@ impl Network {
                 &output_credits,
                 vcs.count(),
             ));
-            nics.push(Nic::new(
-                node,
-                Packetizer::new(config.packetization, config.geometry)?,
-            ));
+            nics.push(Nic::new(node, Packetizer::new(config.packetization)?));
             for dir in Direction::ALL {
-                let Some(downstream) = mesh.neighbor(coord, dir) else {
-                    continue;
-                };
-                let downstream_index = mesh.node_id(downstream)?.index();
-                let port = Port::Mesh(dir).index();
-                neighbor[index][port] = downstream_index as u32;
-                link_out[index][port] = links.len() as u32;
-                links.push(SimLink::new(config.timing.link_cycles));
-                link_dst.push((downstream_index as u32, Port::Mesh(dir.opposite())));
+                if let Some(downstream) = mesh.neighbor(coord, dir) {
+                    neighbor[index][Port::Mesh(dir).index()] =
+                        mesh.node_id(downstream)?.index() as u32;
+                }
             }
         }
         // Constructor invariant: credit counters agree with the rings they
@@ -460,7 +446,6 @@ impl Network {
         let next_flow = flows.len();
         let mut stats = NetworkStats::new();
         stats.register_flows(next_flow);
-        let link_count = links.len();
         Ok(Self {
             mesh,
             config,
@@ -469,24 +454,18 @@ impl Network {
             vc_of,
             routers,
             nics,
-            links,
-            link_dst,
-            link_out,
             neighbor,
             arena: FlitArena::new(),
             port_flits: vec![0; count * Port::COUNT],
             active_routers: ActiveSet::with_capacity(count),
-            active_links: ActiveSet::with_capacity(link_count),
             active_nics: ActiveSet::with_capacity(count),
             scratch_routers: Vec::with_capacity(count),
-            scratch_links: Vec::with_capacity(link_count),
             scratch_nics: Vec::with_capacity(count),
             scratch_forwards: Vec::with_capacity(Port::COUNT),
             scratch_ejected: Vec::with_capacity(count),
             scratch_ff: Vec::with_capacity(FF_MAX_FLITS),
             scratch_heads: Vec::with_capacity(FF_MAX_FLITS),
-            wire_is_fast: config.timing.link_cycles == 1,
-            scratch_wire: Vec::with_capacity(link_count.min(256)),
+            scratch_wire: Vec::with_capacity(mesh.link_count().min(256)),
             dense: false,
             flow_ids,
             next_flow,
@@ -678,7 +657,7 @@ impl Network {
         }
 
         // Phase 1: actable routers take their forwarding decisions and the
-        // network applies them (link pushes, ejections, credit returns).
+        // network applies them (wire pushes, ejections, credit returns).
         // Ascending index order matches the dense reference kernel, so
         // same-cycle credit visibility between routers is preserved exactly;
         // a credit returned *upstream* to a higher-indexed blocked router
@@ -729,20 +708,11 @@ impl Network {
                 }
                 match fwd.output {
                     Port::Local => self.scratch_ejected.push(fwd.flit),
-                    Port::Mesh(_) => {
-                        let link = self.link_out[index][fwd.output.index()];
-                        debug_assert_ne!(link, NONE, "output port implies link");
-                        if self.wire_is_fast {
-                            // Latency-1 wire: the flit is due this very
-                            // cycle; deliver it from the per-cycle list and
-                            // skip the ring and worklist entirely.
-                            self.scratch_wire.push((link, fwd.vc as u8, fwd.flit));
-                        } else {
-                            self.links[link as usize]
-                                .push(now, fwd.flit)
-                                .expect("one forward per output per cycle");
-                            self.active_links.insert(link as usize);
-                        }
+                    Port::Mesh(dir) => {
+                        let to = self.neighbor[index][fwd.output.index()];
+                        debug_assert_ne!(to, NONE, "mesh output implies a neighbour");
+                        let input = Port::Mesh(dir.opposite());
+                        self.scratch_wire.push((to, input, fwd.vc as u8, fwd.flit));
                     }
                 }
             }
@@ -758,35 +728,17 @@ impl Network {
             }
         }
 
-        // Phase 2: active links advance; arriving flits enter the downstream
-        // buffers.  Each link feeds a distinct (router, input) pair, so the
-        // sweep order is immaterial.
+        // Phase 2: the flits forwarded onto the wires this cycle enter the
+        // downstream buffers.  Each wire feeds a distinct (router, input)
+        // pair, so the order is immaterial.
         for slot in 0..self.scratch_wire.len() {
-            let (link, vc, id) = self.scratch_wire[slot];
-            let (to, input) = self.link_dst[link as usize];
+            let (to, input, vc, id) = self.scratch_wire[slot];
             self.routers[to as usize]
                 .accept(&self.arena, now, input, vc as usize, id)
                 .expect("credit flow control guarantees buffer space");
             self.active_routers.insert(to as usize);
         }
         self.scratch_wire.clear();
-        self.active_links.take(&mut self.scratch_links);
-        for slot in 0..self.scratch_links.len() {
-            let index = self.scratch_links[slot] as usize;
-            if let Some(id) = self.links[index].advance(now) {
-                let (to, input) = self.link_dst[index];
-                let vc = self.flit_vc(id);
-                self.routers[to as usize]
-                    .accept(&self.arena, now, input, vc, id)
-                    .expect("credit flow control guarantees buffer space");
-                self.active_routers.insert(to as usize);
-            }
-            if self.links[index].in_flight() > 0 {
-                self.active_links.keep(index);
-            } else {
-                self.active_links.remove(index);
-            }
-        }
 
         // Phase 3: backlogged NICs inject into the local input buffers.
         self.active_nics.take(&mut self.scratch_nics);
@@ -863,15 +815,14 @@ impl Network {
         self.stats.cycles = self.cycle;
     }
 
-    /// Returns `true` when no flit is buffered, in flight or awaiting injection
-    /// anywhere in the network.
+    /// Returns `true` when no flit is buffered or awaiting injection anywhere
+    /// in the network.
     ///
     /// With the active-set kernel this is an O(1) check: every component
     /// holding traffic is on a worklist, and every tracked message still has
     /// flits somewhere in the system.
     pub fn is_drained(&self) -> bool {
         let quiescent = self.active_routers.is_empty()
-            && self.active_links.is_empty()
             && self.active_nics.is_empty()
             && self.tracker.is_empty()
             && self.retransmit.is_empty();
@@ -879,7 +830,6 @@ impl Network {
             quiescent,
             self.nics.iter().all(Nic::is_drained)
                 && self.routers.iter().all(Router::is_idle)
-                && self.links.iter().all(|l| l.in_flight() == 0)
                 && self.tracker.is_empty()
                 && self.retransmit.is_empty()
                 && self.arena.is_empty(),
@@ -933,14 +883,17 @@ impl Network {
     /// `None` when nothing will ever happen again without external input
     /// (the network is drained — or deadlocked with every component blocked).
     ///
-    /// Routers and NICs on a worklist may act in the very next cycle.  When
-    /// only links are live, the horizon is the earliest absolute delivery
-    /// cycle stored at their ring heads — every cycle before it is provably
+    /// Routers and NICs on a worklist may act in the very next cycle.  With
+    /// both worklists empty, only the fault machinery can wake the network:
+    /// the horizon is then the earlier of a pending fault activation and the
+    /// next retransmission release, and every cycle before it is provably
     /// inert and can be skipped wholesale via [`Network::advance_to`].
     pub fn next_horizon(&self) -> Option<Cycle> {
-        // Fault machinery wake events: a pending fault activation and due
-        // retransmission releases bound the horizon too (the dense kernel
-        // never jumps, so any future event pins it to the very next cycle).
+        if !self.active_routers.is_empty() || !self.active_nics.is_empty() {
+            return Some(self.cycle + 1);
+        }
+        // The dense kernel never jumps, so any future fault event pins its
+        // horizon to the very next cycle.
         let mut horizon: Option<Cycle> = None;
         if let Some(due) = self.pending_activation {
             let due = if self.dense { self.cycle + 1 } else { due };
@@ -955,21 +908,6 @@ impl Network {
             let due = due.max(self.cycle + 1);
             horizon = Some(horizon.map_or(due, |h: Cycle| h.min(due)));
         }
-        if !self.active_routers.is_empty() || !self.active_nics.is_empty() {
-            return Some(self.cycle + 1);
-        }
-        if self.dense {
-            if !self.active_links.is_empty() {
-                return Some(self.cycle + 1);
-            }
-            return horizon;
-        }
-        for &index in &self.active_links.list {
-            if let Some(due) = self.links[index as usize].next_due() {
-                let due = due.max(self.cycle + 1);
-                horizon = Some(horizon.map_or(due, |h: Cycle| h.min(due)));
-            }
-        }
         horizon
     }
 
@@ -977,8 +915,8 @@ impl Network {
     ///
     /// The caller must have established — via [`Network::next_horizon`] —
     /// that every skipped cycle is inert; the lazily-replayed arbiter state
-    /// (and the absolute delivery cycles in the link rings) make the jump
-    /// observationally identical to stepping through each skipped cycle.
+    /// makes the jump observationally identical to stepping through each
+    /// skipped cycle.
     ///
     /// # Panics
     ///
@@ -1046,8 +984,7 @@ impl Network {
     ///
     /// # Preconditions (all verified, with no state touched on a bail-out)
     ///
-    /// * exactly one message is live, its source NIC fully drained, no flit
-    ///   in flight on any link;
+    /// * exactly one message is live and its source NIC is fully drained;
     /// * every live flit sits at the front of one input buffer, one flit per
     ///   router, at strictly consecutive XY distances from the destination —
     ///   the shape of an unimpeded worm pipelining one hop per cycle — and
@@ -1079,13 +1016,7 @@ impl Network {
         if self.dense || !self.vcs.is_single() || self.tracker.len() != 1 {
             return false;
         }
-        // The closed form below is the latency-1 pipeline (one hop per
-        // cycle, ejection at `now + 1 + m_j`); multi-cycle links stretch
-        // every hop and fall back to per-cycle stepping.
-        if !self.wire_is_fast {
-            return false;
-        }
-        if !self.active_links.is_empty() || !self.active_nics.is_empty() {
+        if !self.active_nics.is_empty() {
             return false;
         }
         let holders = self.active_routers.len();
@@ -1280,12 +1211,11 @@ impl Network {
     /// The enriched stall diagnostic for the current network state.
     fn stall_error(&self, drain_limit: u64) -> Error {
         let router_flits: usize = self.routers.iter().map(Router::buffered_flits).sum();
-        let link_flits: usize = self.links.iter().map(SimLink::in_flight).sum();
         let nic_flits: usize = self.nics.iter().map(Nic::pending_flits).sum();
         Error::SimulationStalled {
             drain_limit,
             cycle: self.cycle,
-            buffered_flits: (router_flits + link_flits + nic_flits) as u64,
+            buffered_flits: (router_flits + nic_flits) as u64,
             stalled_routers: self
                 .routers
                 .iter()
@@ -1319,15 +1249,6 @@ impl Network {
             severed += router
                 .buffered_flit_ids()
                 .filter(|&id| severed_at(index, id))
-                .count() as u64;
-        }
-        for (link, sim_link) in self.links.iter().enumerate() {
-            // In-flight flits are judged from the downstream router they are
-            // about to enter.
-            let (to, _) = self.link_dst[link];
-            severed += sim_link
-                .in_flight_ids()
-                .filter(|&id| severed_at(to as usize, id))
                 .count() as u64;
         }
         for (index, nic) in self.nics.iter().enumerate() {
@@ -1478,9 +1399,6 @@ impl Network {
                 }
             }
         }
-        for link in &mut self.links {
-            link.purge_into(&mut purged);
-        }
         for nic in &mut self.nics {
             nic.purge_into(&mut purged);
         }
@@ -1493,7 +1411,6 @@ impl Network {
             "epoch flush frees every live flit at cycle {active_cycle}"
         );
         self.active_routers.clear();
-        self.active_links.clear();
         self.active_nics.clear();
 
         // NACK every live message in deterministic (source, id) order:
@@ -1656,18 +1573,46 @@ mod tests {
 
     #[test]
     fn zero_load_latency_matches_hop_count() {
-        // A single message in an empty network: traversal latency is the number
-        // of routers plus link hops plus serialisation.
-        let mut noc = build(4, NocConfig::regular(4));
-        let src = node(&noc, 0, 3);
-        let dst = node(&noc, 0, 0);
-        noc.offer(src, dst, 1).unwrap();
-        assert!(noc.run_until_drained(100));
-        let flow = noc.flow_id(src, dst);
-        let latency = noc.stats().flow_traversal_latency(flow).unwrap().max;
-        // 3 hops with a single-cycle router and single-cycle links: the flit
-        // advances one hop per cycle and is then ejected.
-        assert!((3..=10).contains(&latency), "latency {latency}");
+        // A lone message from (0, h) to (0, 0) in an otherwise empty 8×8
+        // mesh, under both kernels.  Every wire takes one cycle and routers
+        // and ejection add none, so the traversal latency (first flit
+        // injected to last flit ejected) is `h + wire flits`; the offer is
+        // injected one cycle later, so the end-to-end latency is one more.
+        let table = [
+            // (design, message flits, traversal latency at h = 1, 3, 5)
+            (NocConfig::regular(4), 1, [2, 4, 6]),
+            (NocConfig::regular(4), 4, [5, 7, 9]),
+            // WaP slices the 4-flit message into 5 single-flit packets.
+            (NocConfig::waw_wap(), 4, [6, 8, 10]),
+        ];
+        for (config, flits, latencies) in table {
+            for (hops, traversal) in [1u16, 3, 5].into_iter().zip(latencies) {
+                for dense in [false, true] {
+                    let mut noc = build(8, config);
+                    noc.set_dense_kernel(dense);
+                    let src = node(&noc, 0, hops);
+                    let dst = node(&noc, 0, 0);
+                    noc.offer(src, dst, flits).unwrap();
+                    assert!(noc.run_until_drained(100));
+                    let flow = noc.flow_id(src, dst);
+                    let case = format!(
+                        "{} {flits} flits, {hops} hops, dense {dense}",
+                        config.label()
+                    );
+                    let stats = noc.stats();
+                    assert_eq!(
+                        stats.flow_traversal_latency(flow).unwrap().max,
+                        traversal,
+                        "{case}"
+                    );
+                    assert_eq!(
+                        stats.flow_message_latency(flow).unwrap().max,
+                        traversal + 1,
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

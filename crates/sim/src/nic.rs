@@ -222,14 +222,11 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wnoc_core::packetization::{PacketizationPolicy, PhitGeometry};
+    use wnoc_core::packetization::PacketizationPolicy;
     use wnoc_core::FlitKind;
 
     fn nic(policy: PacketizationPolicy) -> Nic {
-        Nic::new(
-            NodeId(3),
-            Packetizer::new(policy, PhitGeometry::PAPER).unwrap(),
-        )
+        Nic::new(NodeId(3), Packetizer::new(policy).unwrap())
     }
 
     #[test]

@@ -129,8 +129,7 @@ pub struct NetworkStats {
     /// Messages dropped as undeliverable: their endpoint pair was severed by
     /// the active fault set, or their retry budget was exhausted.
     pub messages_undeliverable: u64,
-    /// Flits purged from router rings, link pipelines and NIC queues by
-    /// fault epoch flushes.
+    /// Flits purged from router rings and NIC queues by fault epoch flushes.
     pub flits_purged: u64,
     /// Retransmissions per flow (ordered map: deterministic iteration).
     pub retransmits_by_flow: BTreeMap<FlowId, u64>,

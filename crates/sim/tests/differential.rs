@@ -19,7 +19,6 @@
 
 use proptest::prelude::*;
 
-use wnoc_core::config::RouterTiming;
 use wnoc_core::flow::FlowSet;
 use wnoc_core::vc::{VcAssignment, VcConfig};
 use wnoc_core::{
@@ -36,7 +35,6 @@ struct Case {
     family: u32,
     message_flits: u32,
     driver: u32,
-    link_cycles: u32,
     vcs: u32,
     /// Fault dimension: 0 none, 1 one mid-run link fault, 2 one cycle-0
     /// link fault, 3 two staggered link faults (two epoch flushes).
@@ -46,16 +44,13 @@ struct Case {
 
 impl Case {
     fn config(&self) -> NocConfig {
-        let config = match self.design % 6 {
+        match self.design % 6 {
             0 | 1 => NocConfig::waw_wap(),
             2 => NocConfig::regular(1),
             3 => NocConfig::regular(2),
             4 => NocConfig::regular(4),
             _ => NocConfig::regular(8),
-        };
-        // Multi-cycle links exercise the link-ring horizons (and gate the
-        // worm fast-forward, which is a latency-1 closed form).
-        config.with_timing(RouterTiming::new(1, self.link_cycles, 1).expect("positive timing"))
+        }
     }
 
     /// The VC configuration: count 1–4, the assignment rule salted.  Multi-VC
@@ -215,12 +210,11 @@ proptest! {
         family in 0u32..3,
         message_flits in 1u32..=8,
         driver in 0u32..3,
-        link_cycles in 1u32..=3,
         vcs in 1u32..=4,
         faults in 0u32..4,
         salt in 0u64..1_000,
     ) {
-        let case = Case { side, design, family, message_flits, driver, link_cycles, vcs, faults, salt };
+        let case = Case { side, design, family, message_flits, driver, vcs, faults, salt };
         let (horizon_report, horizon_stats, horizon_ports) = case.run(false);
         let (dense_report, dense_stats, dense_ports) = case.run(true);
         if horizon_report != dense_report {
@@ -238,28 +232,6 @@ proptest! {
     }
 }
 
-/// Pinned regression: multi-cycle links on the single-flow closed loop.
-/// The worm fast-forward is a latency-1 closed form and must gate itself
-/// off here (an early version applied it anyway and delivered probes at
-/// roughly half the true latency).
-#[test]
-fn multi_cycle_links_match_dense() {
-    let case = Case {
-        side: 5,
-        design: 2,
-        family: 0,
-        message_flits: 1,
-        driver: 0,
-        link_cycles: 2,
-        vcs: 1,
-        faults: 0,
-        salt: 24, // hotspot (4, 4): the single corner-to-corner-ish probe
-    };
-    let horizon = case.run(false);
-    let dense = case.run(true);
-    assert_eq!(horizon, dense, "latency-2 links diverged");
-}
-
 /// Pinned regression: the multi-VC hotspot where every ring of the ejection
 /// port is contended and the strict-priority VC arbiter interleaves worms
 /// every cycle.  Both schedulers must walk the identical per-VC credit and
@@ -275,7 +247,6 @@ fn multi_vc_hotspot_matches_dense() {
                 family: 0,
                 message_flits: 4,
                 driver: 0,
-                link_cycles: 1,
                 vcs,
                 faults: 0,
                 salt,
@@ -293,8 +264,8 @@ fn multi_vc_hotspot_matches_dense() {
 
 /// Pinned regression: a fault epoch flush that truncates a worm mid-flight.
 /// A long message is strung across the mesh when the activation fires, so the
-/// flush must purge flits from router rings *and* the link pipeline, NACK the
-/// tail, and retransmit the whole message over the up*/down* tree — with the
+/// flush must purge flits from several router rings, NACK the tail, and
+/// retransmit the whole message over the up*/down* tree — with the
 /// dense and event-horizon kernels agreeing on every observable (the horizon
 /// kernel settles its lazy arbiter idle-debt against the frozen pre-purge
 /// request fronts before the purge; an off-by-one there shows up here).

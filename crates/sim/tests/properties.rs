@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use wnoc_core::flow::FlowSet;
+use wnoc_core::packetization::{CONTROL_BITS, LINK_WIDTH_BITS};
 use wnoc_core::{Coord, Mesh, NocConfig, NodeId};
 use wnoc_sim::network::Network;
 use wnoc_sim::traffic::{RandomTraffic, TrafficPattern};
@@ -77,9 +78,8 @@ proptest! {
         network.offer(src, dst, size).unwrap();
         prop_assert!(network.run_until_drained(50_000));
         let stats = network.stats();
-        let geometry = wnoc_core::PhitGeometry::PAPER;
-        let payload_bits = (size * geometry.link_width_bits).saturating_sub(geometry.control_bits);
-        let expected = u64::from(geometry.wap_slices(payload_bits));
+        let payload_bits = (size * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
+        let expected = u64::from(payload_bits.div_ceil(LINK_WIDTH_BITS - CONTROL_BITS).max(1));
         prop_assert_eq!(stats.flits_delivered, expected);
         prop_assert_eq!(stats.packets_delivered, expected);
     }

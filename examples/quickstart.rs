@@ -8,7 +8,7 @@ use wnoc::core::analysis::{RegularWcttModel, WeightedWcttModel};
 use wnoc::core::flow::FlowSet;
 use wnoc::core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc::core::weights::WeightTable;
-use wnoc::core::{Coord, Mesh, NocConfig, RouterTiming};
+use wnoc::core::{Coord, Mesh, NocConfig};
 use wnoc::sim::network::Network;
 
 fn main() -> Result<(), wnoc::core::Error> {
@@ -35,12 +35,8 @@ fn main() -> Result<(), wnoc::core::Error> {
 
     // --- Analytical view: the worst-case traversal bound of the same flow.
     let route = XyRouting.route(&mesh, Coord::from_row_col(7, 7), memory)?;
-    let mut regular = RegularWcttModel::new(&flows, RouterTiming::CANONICAL, 4);
-    let weighted = WeightedWcttModel::new(
-        WeightTable::from_flow_set(&flows),
-        RouterTiming::CANONICAL,
-        1,
-    );
+    let mut regular = RegularWcttModel::new(&flows, 4);
+    let weighted = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
     let regular_bound = regular.route_wctt(&route, 1);
     let weighted_bound = weighted.packet_wctt(&route);
     println!();

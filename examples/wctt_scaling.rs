@@ -5,16 +5,10 @@
 //! Run with `cargo run --example wctt_scaling`.
 
 use wnoc::core::analysis::{table::FlowScenario, WcttTable};
-use wnoc::core::RouterTiming;
 
 fn main() -> Result<(), wnoc::core::Error> {
     let sizes = [2u16, 3, 4, 5, 6, 7, 8, 10, 12];
-    let table = WcttTable::for_sizes(
-        &sizes,
-        FlowScenario::paper_default(),
-        RouterTiming::CANONICAL,
-        1,
-    )?;
+    let table = WcttTable::for_sizes(&sizes, FlowScenario::paper_default(), 1)?;
 
     println!("WCTT scaling with mesh size (1-flit packets, all nodes -> R(0,0))\n");
     println!("size    | regular max       | waw+wap max | gain");

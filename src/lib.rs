@@ -20,10 +20,9 @@
 //!
 //! ```
 //! use wnoc::core::analysis::WcttTable;
-//! use wnoc::core::RouterTiming;
 //!
 //! // Regenerate the analytical Table II of the paper.
-//! let table = WcttTable::table2(RouterTiming::CANONICAL)?;
+//! let table = WcttTable::table2()?;
 //! let eight_by_eight = table.rows().last().unwrap();
 //! assert!(eight_by_eight.regular.max > 1_000 * eight_by_eight.waw_wap.max);
 //! # Ok::<(), wnoc::core::Error>(())

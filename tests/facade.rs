@@ -3,7 +3,6 @@
 //! must run end to end.
 
 use wnoc::core::analysis::WcttTable;
-use wnoc::core::RouterTiming;
 
 /// Every layer is reachable through the facade under its documented name, and
 /// the re-exported items are the same types as in the underlying crates.
@@ -57,7 +56,7 @@ fn reexports_resolve_and_are_the_underlying_types() {
 /// the analytical Table II and check the paper's headline 8×8 claim.
 #[test]
 fn quick_start_table2_runs_end_to_end() {
-    let table = WcttTable::table2(RouterTiming::CANONICAL).unwrap();
+    let table = WcttTable::table2().unwrap();
     let rows = table.rows();
     // Table II covers square meshes from 2×2 to 8×8.
     assert_eq!(rows.len(), 7);

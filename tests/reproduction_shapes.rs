@@ -3,7 +3,7 @@
 //! pipeline), independently of the per-crate unit tests.
 
 use wnoc::core::analysis::WcttTable;
-use wnoc::core::{Coord, NocConfig, RouterTiming};
+use wnoc::core::{Coord, NocConfig};
 use wnoc::manycore::wcet::{parallel_wcet, WcetEstimator};
 use wnoc::workloads::avionics::{default_scenario, TrafficModel};
 use wnoc::workloads::eembc::EembcBenchmark;
@@ -13,7 +13,7 @@ use wnoc::workloads::placement::Placement;
 /// mesh size while WaW+WaP grows linearly in the flow count.
 #[test]
 fn table2_shape_holds_end_to_end() {
-    let table = WcttTable::table2(RouterTiming::CANONICAL).unwrap();
+    let table = WcttTable::table2().unwrap();
     let rows = table.rows();
     assert_eq!(rows.len(), 7);
     // Monotone growth for both designs.

@@ -6,7 +6,7 @@ use wnoc::core::analysis::WeightedWcttModel;
 use wnoc::core::flow::FlowSet;
 use wnoc::core::routing::{RoutingAlgorithm, XyRouting};
 use wnoc::core::weights::WeightTable;
-use wnoc::core::{Coord, Mesh, NocConfig, RouterTiming};
+use wnoc::core::{zero_load_head_latency, Coord, Mesh, NocConfig};
 use wnoc::manycore::system::{ManycoreSystem, PlatformConfig};
 use wnoc::manycore::trace::Trace;
 use wnoc::sim::Simulation;
@@ -79,11 +79,7 @@ fn weighted_bound_dominates_observed_latency() {
     let mesh = Mesh::square(4).unwrap();
     let hotspot = Coord::from_row_col(0, 0);
     let flows = FlowSet::all_to_one(&mesh, hotspot).unwrap();
-    let model = WeightedWcttModel::new(
-        WeightTable::from_flow_set(&flows),
-        RouterTiming::CANONICAL,
-        1,
-    );
+    let model = WeightedWcttModel::new(WeightTable::from_flow_set(&flows), 1);
     let hotspot_node = mesh.node_id(hotspot).unwrap();
 
     for probe in [Coord::from_row_col(3, 3), Coord::from_row_col(0, 1)] {
@@ -190,9 +186,9 @@ fn zero_load_latency_consistency() {
     let route = XyRouting
         .route(&mesh, Coord::from_row_col(7, 7), memory)
         .unwrap();
-    let zero_load = RouterTiming::CANONICAL.zero_load_head_latency(route.hop_count());
-    // The simulator's single-cycle router is at least as fast as the analytical
-    // zero-load model and never slower than twice that figure in an empty mesh.
+    let zero_load = zero_load_head_latency(route.hop_count());
+    // A lone flit in an empty mesh spends at least one cycle per hop and never
+    // more than twice the analyses' zero-load latency.
     assert!(observed as f64 >= route.hop_count() as f64);
     assert!(
         (observed) <= 2 * zero_load,
