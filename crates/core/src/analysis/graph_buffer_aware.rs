@@ -134,34 +134,14 @@ impl GraphBufferAwareWcttModel {
     /// docs.  May exceed the steady-state bound on shallow contended routes —
     /// that excess is load-bearing, not an artifact (see the module docs).
     pub fn service_slot(&self, route: &Route, slices: u32) -> u64 {
-        let m = u64::from(self.base.slice_flits());
+        let m = u64::from(self.base.reference().slice_flits());
         let slices = u64::from(slices.max(1));
         let message_flits = slices * m;
-        let weights = self.base.weights();
-        let buffers = self.base.buffers();
-        let mesh = self.base.mesh();
-        let calibration = u64::from(BufferAwareWcttModel::CALIBRATION_DEPTH);
-        let slack = u64::from(BufferAwareWcttModel::OCCUPANCY_SLACK);
-
         let mut slot = 0u64;
         let mut chain = 0u64;
         // Buffer flits strictly downstream of the hop under consideration.
         let mut downstream_cap = 0u64;
-        let mut suffix_max = 1u64;
-        for hop in route.hops().iter().rev() {
-            let flows = u64::from(weights.output_flows(hop.router, hop.output)).max(1);
-            suffix_max = suffix_max.max(flows);
-            let excess = (suffix_max - (flows - 1)) * m;
-            let depth = u64::from(
-                buffers
-                    .hop_depth(mesh, hop.router, hop.input, hop.output)
-                    .max(1),
-            );
-            let backpressure = if depth <= calibration {
-                calibration * excess / depth
-            } else {
-                (calibration + slack) * excess / (depth + slack)
-            };
+        for (flows, depth, backpressure) in self.base.hop_stalls(route) {
             let serve = ROUTER_CHARGE + slices * flows * m + backpressure;
             chain = serve
                 + if downstream_cap < message_flits {
