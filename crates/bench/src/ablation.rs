@@ -71,7 +71,7 @@ impl Ablation {
 
         // Under WaP the message is sliced into single-flit packets that each
         // replicate the control information (a cache line becomes 5).
-        let slices = PacketizationPolicy::wap().split(message_flits);
+        let slices = PacketizationPolicy::Wap.split(message_flits);
 
         let mut baseline_values = Vec::new();
         let mut wap_values = Vec::new();

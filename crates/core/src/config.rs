@@ -75,7 +75,7 @@ impl NocConfig {
     pub fn waw_wap() -> Self {
         Self {
             arbitration: ArbitrationPolicy::Waw,
-            packetization: PacketizationPolicy::wap(),
+            packetization: PacketizationPolicy::Wap,
             input_buffer_flits: 4,
         }
     }
@@ -123,10 +123,8 @@ impl NocConfig {
             (ArbitrationPolicy::RoundRobin, PacketizationPolicy::Regular { max_packet_flits }) => {
                 format!("regular(L={max_packet_flits})")
             }
-            (ArbitrationPolicy::Waw, PacketizationPolicy::Wap { .. }) => "WaW+WaP".to_string(),
-            (ArbitrationPolicy::RoundRobin, PacketizationPolicy::Wap { .. }) => {
-                "WaP-only".to_string()
-            }
+            (ArbitrationPolicy::Waw, PacketizationPolicy::Wap) => "WaW+WaP".to_string(),
+            (ArbitrationPolicy::RoundRobin, PacketizationPolicy::Wap) => "WaP-only".to_string(),
             (ArbitrationPolicy::Waw, PacketizationPolicy::Regular { max_packet_flits }) => {
                 format!("WaW-only(L={max_packet_flits})")
             }

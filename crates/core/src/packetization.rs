@@ -45,13 +45,10 @@ pub enum PacketizationPolicy {
         /// Maximum allowed packet size in flits (the paper's `L`).
         max_packet_flits: u32,
     },
-    /// WCTT-aware packetization: the message is sliced into minimum-size
-    /// packets of `min_packet_flits` flits each (one flit in the paper), with
-    /// header information replicated in every slice.
-    Wap {
-        /// Minimum packet size in flits (the paper's `m`, normally 1).
-        min_packet_flits: u32,
-    },
+    /// WCTT-aware packetization: the message is sliced into single-flit
+    /// packets (the paper's minimum packet size `m = 1`), with header
+    /// information replicated in every slice.
+    Wap,
 }
 
 impl PacketizationPolicy {
@@ -63,31 +60,24 @@ impl PacketizationPolicy {
         }
     }
 
-    /// WaP with single-flit slices (the configuration evaluated in the paper).
-    pub fn wap() -> Self {
-        PacketizationPolicy::Wap {
-            min_packet_flits: 1,
-        }
-    }
-
     /// The packet length that contenders must assume when deriving WCTT bounds:
-    /// the maximum packet size under regular packetization, the minimum slice
-    /// size under WaP.  This is the quantity the paper calls `L` vs `m`.
+    /// the maximum packet size under regular packetization, the one-flit
+    /// slice under WaP.  This is the quantity the paper calls `L` vs `m`.
     pub fn worst_case_contender_flits(&self) -> u32 {
         match *self {
             PacketizationPolicy::Regular { max_packet_flits } => max_packet_flits,
-            PacketizationPolicy::Wap { min_packet_flits } => min_packet_flits,
+            PacketizationPolicy::Wap => 1,
         }
     }
 
     /// Returns `true` for the WaP policy.
     pub fn is_wap(&self) -> bool {
-        matches!(self, PacketizationPolicy::Wap { .. })
+        matches!(self, PacketizationPolicy::Wap)
     }
 
     /// How a `message_flits`-flit message is cut into wire packets under
     /// this policy: greedy maximum-size packets under regular packetization
-    /// (none for an empty message), under WaP enough minimum-size slices to
+    /// (none for an empty message), under WaP enough single-flit slices to
     /// carry the message's payload bits when every slice repeats the
     /// [`CONTROL_BITS`] (at least one).
     ///
@@ -106,14 +96,14 @@ impl PacketizationPolicy {
                     last,
                 }
             }
-            PacketizationPolicy::Wap { min_packet_flits } => {
+            PacketizationPolicy::Wap => {
                 // One copy of the control information travels with the
                 // regular packet; the rest of its flits is payload.
                 let payload_bits = (message_flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
                 Split {
                     packets: payload_bits.div_ceil(WAP_PAYLOAD_BITS).max(1),
-                    size: min_packet_flits,
-                    last: min_packet_flits,
+                    size: 1,
+                    last: 1,
                 }
             }
         }
@@ -123,13 +113,9 @@ impl PacketizationPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if a size parameter is zero.
+    /// Returns [`Error::InvalidConfig`] if the regular packet size is zero.
     pub fn validate(&self) -> Result<()> {
-        let size = match *self {
-            PacketizationPolicy::Regular { max_packet_flits } => max_packet_flits,
-            PacketizationPolicy::Wap { min_packet_flits } => min_packet_flits,
-        };
-        if size == 0 {
+        if self.worst_case_contender_flits() == 0 {
             return Err(Error::InvalidConfig {
                 reason: "packet size must be at least one flit".to_string(),
             });
@@ -318,7 +304,7 @@ mod tests {
             }
         );
 
-        let wap = PacketizationPolicy::wap();
+        let wap = PacketizationPolicy::Wap;
         // A 4-flit cache line becomes 5 single-flit slices (control overhead).
         assert_eq!(sizes(wap.split(4)), vec![1, 1, 1, 1, 1]);
         assert_eq!(sizes(wap.split(1)), vec![1]);
@@ -391,7 +377,7 @@ mod tests {
 
     #[test]
     fn wap_slices_cache_line_into_five_single_flit_packets() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::Wap).unwrap();
         let packets = packets(&mut p, 4);
         assert_eq!(packets.len(), 5);
         assert!(packets
@@ -405,7 +391,7 @@ mod tests {
     fn wap_single_flit_message_stays_single_flit() {
         // A one-flit request has no payload beyond its control information, so
         // WaP does not inflate it (the paper's load requests stay one flit).
-        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::Wap).unwrap();
         let packets = packets(&mut p, 1);
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].1.len(), 1);
@@ -414,7 +400,7 @@ mod tests {
 
     #[test]
     fn packet_ids_are_unique_and_sequential() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::Wap).unwrap();
         let a = packets(&mut p, 4);
         let b = packets(&mut p, 4);
         let ids: Vec<u64> = a.iter().chain(b.iter()).map(|(id, _)| *id).collect();
@@ -423,7 +409,7 @@ mod tests {
 
     #[test]
     fn empty_message_rejected() {
-        let mut p = Packetizer::new(PacketizationPolicy::wap()).unwrap();
+        let mut p = Packetizer::new(PacketizationPolicy::Wap).unwrap();
         assert!(p.flits(&msg(0)).is_err());
         let mut p = Packetizer::new(PacketizationPolicy::regular_l4()).unwrap();
         assert!(p.flits(&msg(0)).is_err());
@@ -443,7 +429,7 @@ mod tests {
             .worst_case_contender_flits(),
             8
         );
-        assert_eq!(PacketizationPolicy::wap().worst_case_contender_flits(), 1);
+        assert_eq!(PacketizationPolicy::Wap.worst_case_contender_flits(), 1);
     }
 
     #[test]
@@ -453,11 +439,7 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(PacketizationPolicy::Wap {
-            min_packet_flits: 0
-        }
-        .validate()
-        .is_err());
+        assert!(PacketizationPolicy::Wap.validate().is_ok());
         assert!(Packetizer::new(PacketizationPolicy::Regular {
             max_packet_flits: 0
         })

@@ -28,8 +28,8 @@ fn mesh_dims() -> impl Strategy<Value = (u16, u16)> {
 
 /// Greedy reference slicing, written out packet by packet: maximum-size
 /// packets until the message is used up under regular packetization; under
-/// WaP, `m`-flit slices each carrying one slice's worth of payload bits until
-/// the payload is carried, and at least one slice.
+/// WaP, single-flit slices each carrying one slice's worth of payload bits
+/// until the payload is carried, and at least one slice.
 fn reference_sizes(policy: PacketizationPolicy, flits: u32) -> Vec<u32> {
     let mut sizes = Vec::new();
     match policy {
@@ -41,10 +41,10 @@ fn reference_sizes(policy: PacketizationPolicy, flits: u32) -> Vec<u32> {
                 remaining -= take;
             }
         }
-        PacketizationPolicy::Wap { min_packet_flits } => {
+        PacketizationPolicy::Wap => {
             let mut payload = (flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
             loop {
-                sizes.push(min_packet_flits);
+                sizes.push(1);
                 payload = payload.saturating_sub(LINK_WIDTH_BITS - CONTROL_BITS);
                 if payload == 0 {
                     break;
@@ -179,8 +179,8 @@ proptest! {
     /// split agrees with the greedy reference, `wire_flits` and the
     /// packetizer's flits.
     #[test]
-    fn wap_slicing_preserves_payload(regular_flits in 0u32..64, min_packet in 1u32..16) {
-        let policy = PacketizationPolicy::Wap { min_packet_flits: min_packet };
+    fn wap_slicing_preserves_payload(regular_flits in 0u32..64) {
+        let policy = PacketizationPolicy::Wap;
         let split = policy.split(regular_flits);
         let payload_bits = (regular_flits * LINK_WIDTH_BITS).saturating_sub(CONTROL_BITS);
         let slice_payload = LINK_WIDTH_BITS - CONTROL_BITS;

@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn wap_nic_slices_and_replicates_headers() {
         let mut arena = FlitArena::new();
-        let mut n = nic(PacketizationPolicy::wap());
+        let mut n = nic(PacketizationPolicy::Wap);
         let offered = n.offer(&mut arena, NodeId(0), FlowId(1), 4, 100);
         assert_eq!(offered.packets, 5);
         assert_eq!(offered.wire_flits, 5);
@@ -292,7 +292,7 @@ mod tests {
     #[should_panic(expected = "at least one flit")]
     fn zero_size_message_panics() {
         let mut arena = FlitArena::new();
-        let mut n = nic(PacketizationPolicy::wap());
+        let mut n = nic(PacketizationPolicy::Wap);
         n.offer(&mut arena, NodeId(0), FlowId(0), 0, 0);
     }
 }
