@@ -1573,43 +1573,106 @@ mod tests {
 
     #[test]
     fn zero_load_latency_matches_hop_count() {
-        // A lone message from (0, h) to (0, 0) in an otherwise empty 8×8
-        // mesh, under both kernels.  Every wire takes one cycle and routers
-        // and ejection add none, so the traversal latency (first flit
-        // injected to last flit ejected) is `h + wire flits`; the offer is
-        // injected one cycle later, so the end-to-end latency is one more.
-        let table = [
-            // (design, message flits, traversal latency at h = 1, 3, 5)
-            (NocConfig::regular(4), 1, [2, 4, 6]),
-            (NocConfig::regular(4), 4, [5, 7, 9]),
-            // WaP slices the 4-flit message into 5 single-flit packets.
-            (NocConfig::waw_wap(), 4, [6, 8, 10]),
-        ];
-        for (config, flits, latencies) in table {
+        // The simulator's elementary costs, exact under both kernels, on an
+        // 8×8 mesh built over all-to-one flows to R(0, 0).  Every wire takes
+        // one cycle and routers and ejection add none, so a lone message over
+        // `h` hops is traversed (first flit injected to last flit ejected) in
+        // `h + wire flits` cycles; an offer is injected one cycle later, so
+        // its end-to-end latency is one more.
+        let regular = NocConfig::regular(4);
+        let waw_wap = NocConfig::waw_wap();
+        // (design, input buffer depth, offers made in one cycle as (source
+        // (row, col), destination (row, col), message flits), and the
+        // (traversal, end-to-end) latency of each offer)
+        let mut table = Vec::new();
+        let lone = |config, depth, src, dst, flits, traversal: u64| {
+            let offers = vec![(src, dst, flits)];
+            (config, depth, offers, vec![(traversal, traversal + 1)])
+        };
+        // A lone message over h = 1, 3, 5 hops; WaP slices the 4-flit
+        // message into 5 single-flit packets.
+        for (config, flits, latencies) in [
+            (regular, 1, [2, 4, 6]),
+            (regular, 4, [5, 7, 9]),
+            (waw_wap, 4, [6, 8, 10]),
+        ] {
             for (hops, traversal) in [1u16, 3, 5].into_iter().zip(latencies) {
-                for dense in [false, true] {
-                    let mut noc = build(8, config);
-                    noc.set_dense_kernel(dense);
-                    let src = node(&noc, 0, hops);
-                    let dst = node(&noc, 0, 0);
-                    noc.offer(src, dst, flits).unwrap();
-                    assert!(noc.run_until_drained(100));
-                    let flow = noc.flow_id(src, dst);
-                    let case = format!(
-                        "{} {flits} flits, {hops} hops, dense {dense}",
-                        config.label()
-                    );
+                table.push(lone(config, 4, (0, hops), (0, 0), flits, traversal));
+            }
+        }
+        for config in [regular, waw_wap] {
+            // Two single-flit contenders reach R(0, 0)'s ejection port in the
+            // same cycle, from the east and from the south: the one from the
+            // south is granted first.
+            let offers = vec![((0, 2), (0, 0), 1), ((1, 1), (0, 0), 1)];
+            table.push((config, 4, offers, vec![(4, 5), (3, 4)]));
+        }
+        // Back to back: two 4-flit messages of one flow, offered together...
+        let twice = vec![((0, 3), (0, 0), 4); 2];
+        table.push((regular, 4, twice.clone(), vec![(7, 8), (10, 12)]));
+        table.push((waw_wap, 4, twice, vec![(8, 9), (11, 14)]));
+        // ...and one 8-flit message (two regular packets, nine WaP slices):
+        // no bubble between the packets.
+        table.push(lone(regular, 4, (0, 3), (0, 0), 8, 11));
+        table.push(lone(waw_wap, 4, (0, 3), (0, 0), 8, 12));
+        // A credit stall at depth d: a lone 4-flit message over 3 hops West,
+        // North, East and South.  Routers are swept in ascending index order,
+        // so a credit returned to a higher-indexed router is seen in the same
+        // cycle and one returned to a lower-indexed router the next cycle: at
+        // depth 1 that stalls every flit going East or South.
+        for depth in 1..=4 {
+            for (src, dst, ascending) in [
+                ((0, 3), (0, 0), false),
+                ((3, 0), (0, 0), false),
+                ((0, 0), (0, 3), true),
+                ((0, 0), (3, 0), true),
+            ] {
+                let stalled = depth == 1 && ascending;
+                let (traversal, wap_traversal) = if stalled { (10, 12) } else { (7, 8) };
+                table.push(lone(regular, depth, src, dst, 4, traversal));
+                table.push(lone(waw_wap, depth, src, dst, 4, wap_traversal));
+            }
+        }
+        let mesh = Mesh::square(8).unwrap();
+        let flows = FlowSet::all_to_one(&mesh, Coord::from_row_col(0, 0)).unwrap();
+        let at = |(row, col)| mesh.node_id(Coord::from_row_col(row, col)).unwrap();
+        for (config, depth, offers, latencies) in table {
+            for dense in [false, true] {
+                let buffers = BufferConfig::uniform(depth);
+                let mut noc =
+                    Network::with_vcs(mesh, config, &flows, &buffers, VcConfig::single()).unwrap();
+                noc.set_dense_kernel(dense);
+                for &(src, dst, flits) in &offers {
+                    noc.offer(at(src), at(dst), flits).unwrap();
+                }
+                assert!(noc.run_until_drained(100));
+                let case = format!("{} depth {depth} {offers:?} dense {dense}", config.label());
+                // The messages of one flow read back as its minimum and
+                // maximum latency.
+                for (index, &(src, dst, _)) in offers.iter().enumerate() {
+                    if offers[..index]
+                        .iter()
+                        .any(|&(s, d, _)| (s, d) == (src, dst))
+                    {
+                        continue;
+                    }
+                    let mine: Vec<(u64, u64)> = offers
+                        .iter()
+                        .zip(&latencies)
+                        .filter(|(&(s, d, _), _)| (s, d) == (src, dst))
+                        .map(|(_, &latency)| latency)
+                        .collect();
+                    let span = |pick: fn(&(u64, u64)) -> u64| {
+                        let values = mine.iter().map(pick);
+                        (values.clone().min().unwrap(), values.max().unwrap())
+                    };
+                    let flow = noc.flow_id(at(src), at(dst));
                     let stats = noc.stats();
-                    assert_eq!(
-                        stats.flow_traversal_latency(flow).unwrap().max,
-                        traversal,
-                        "{case}"
-                    );
-                    assert_eq!(
-                        stats.flow_message_latency(flow).unwrap().max,
-                        traversal + 1,
-                        "{case}"
-                    );
+                    let traversal = stats.flow_traversal_latency(flow).unwrap();
+                    let message = stats.flow_message_latency(flow).unwrap();
+                    let (t, m) = ((traversal.min, traversal.max), (message.min, message.max));
+                    assert_eq!(t, span(|l| l.0), "{case}: traversal");
+                    assert_eq!(m, span(|l| l.1), "{case}: end to end");
                 }
             }
         }
