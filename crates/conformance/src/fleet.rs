@@ -1834,11 +1834,11 @@ mod tests {
             (
                 Campaign::fault_sweep(7, 25),
                 [
-                    0x09a7_af19_c8e0_52f9,
-                    0x9b35_9af3_46b4_39c5,
-                    0x1a9b_a3e5_db4e_a78f,
-                    0x3262_e1a1_d60b_4cc0,
-                    0x49ea_74ed_d9b7_9139,
+                    0x5cf7_9e78_2bb8_28ca,
+                    0x5226_8d22_589d_94cb,
+                    0xa1ac_8765_c7cb_49e0,
+                    0x6f2a_04b8_02ac_da71,
+                    0x953c_9f9e_f3c8_e255,
                     0x1525_c5d9_c012_4ea0,
                 ],
             ),

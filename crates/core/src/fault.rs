@@ -864,6 +864,25 @@ mod tests {
     }
 
     #[test]
+    fn a_detour_counts_every_link_it_crosses() {
+        // With R(0,1)'s West link failed, the tree route to its western
+        // neighbour goes round through row 1: three links, not the one of
+        // the Manhattan distance.
+        let m = mesh(4);
+        let mut set = FaultSet::empty(&m);
+        set.add(FaultKind::Link {
+            from: Coord::from_row_col(0, 1),
+            direction: Direction::West,
+        });
+        let tree = TreeRouting::new(&set);
+        let route = tree
+            .route(&m, Coord::from_row_col(0, 1), Coord::from_row_col(0, 0))
+            .unwrap();
+        assert_eq!(route.router_count(), 4);
+        assert_eq!(route.hop_count(), 3);
+    }
+
+    #[test]
     fn dead_router_pairs_are_unreachable() {
         let m = mesh(3);
         let mut set = FaultSet::empty(&m);

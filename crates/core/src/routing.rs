@@ -63,9 +63,11 @@ impl Route {
         &self.hops
     }
 
-    /// Number of router-to-router link traversals (Manhattan distance).
+    /// Number of router-to-router links the route crosses: one fewer than
+    /// the routers it traverses.  That is the Manhattan distance for XY
+    /// routes, and more for a detour around failed hardware.
     pub fn hop_count(&self) -> u32 {
-        self.src.manhattan_distance(self.dst)
+        self.hops.len().saturating_sub(1) as u32
     }
 
     /// Number of routers traversed (including source and destination routers).
