@@ -218,25 +218,15 @@ impl FlowTerms {
     }
 }
 
-/// Dense index of a `(router, output)` contention column, `node · 5 +
-/// output` (the layout the regular model and the weight table share).
-fn column_index(mesh: &Mesh, router: Coord, output: Port) -> usize {
-    let node = usize::from(router.y) * usize::from(mesh.width()) + usize::from(router.x);
-    node * Port::COUNT + output.index()
-}
-
-/// Dense index, `node · 5 + port`, of the `(node, input port)` buffer a
+/// Dense index ([`Mesh::port_index`]) of the `(node, input port)` buffer a
 /// hop's output drains into — the exact depth [`BufferConfig::hop_depth`]
 /// reads for that hop.
 fn hop_depth_key(mesh: &Mesh, hop: &Hop) -> Option<u32> {
-    let (node, port) = match hop.output {
-        Port::Mesh(dir) => {
-            let downstream = mesh.neighbor(hop.router, dir)?;
-            (mesh.node_id(downstream).ok()?, Port::Mesh(dir.opposite()))
-        }
-        Port::Local => (mesh.node_id(hop.router).ok()?, hop.input),
+    let (router, port) = match hop.output {
+        Port::Mesh(dir) => (mesh.neighbor(hop.router, dir)?, Port::Mesh(dir.opposite())),
+        Port::Local => (hop.router, hop.input),
     };
-    Some((node.index() * Port::COUNT + port.index()) as u32)
+    Some(mesh.port_index(router, port) as u32)
 }
 
 /// Removes flow `index` from one reverse-index entry.
@@ -558,7 +548,8 @@ impl IncrementalAnalysis {
                         self.depth_factor = factor;
                         self.preemptive_dirty = true;
                     }
-                    let buffer = node.index() * Port::COUNT + port.index();
+                    let router = self.mesh.coord_of(node).expect("node checked by the edit");
+                    let buffer = self.mesh.port_index(router, port);
                     for &index in self.depth_readers.get(buffer).into_iter().flatten() {
                         self.cache[index as usize] = None;
                     }
@@ -761,7 +752,7 @@ impl IncrementalAnalysis {
         let keys = &mut self.flow_keys[index];
         keys.clear();
         for hop in route.hops() {
-            let column = column_index(&self.mesh, hop.router, hop.output) as u32;
+            let column = self.mesh.port_index(hop.router, hop.output) as u32;
             if !keys.contains(&column) {
                 keys.push(column);
             }
@@ -801,7 +792,7 @@ impl IncrementalAnalysis {
     /// pair support under round robin, its output flow count under WaW.
     fn column_state(&self, router: Coord, output: Port) -> u32 {
         match (&self.regular, &self.graph) {
-            (Some(model), _) => model.column_support(router, output),
+            (Some(model), _) => model.weights().column_support(router, output),
             (None, Some(model)) => model
                 .base()
                 .reference()
@@ -838,7 +829,7 @@ impl IncrementalAnalysis {
     fn invalidate_changed_columns(&mut self) {
         if let Some(model) = &mut self.regular {
             for &((router, output), before) in &self.delta.dropped_drains {
-                let readers = &self.port_readers[column_index(&self.mesh, router, output)];
+                let readers = &self.port_readers[self.mesh.port_index(router, output)];
                 if !readers.is_empty() && model.drain_time(router, output) != before {
                     for &index in readers {
                         self.cache[index as usize] = None;
@@ -848,7 +839,7 @@ impl IncrementalAnalysis {
         }
         for &((router, output), before) in &self.touched {
             if self.column_state(router, output) != before {
-                for &index in &self.port_readers[column_index(&self.mesh, router, output)] {
+                for &index in &self.port_readers[self.mesh.port_index(router, output)] {
                     self.cache[index as usize] = None;
                 }
             }
@@ -874,14 +865,8 @@ impl IncrementalAnalysis {
         let mut terms = FlowTerms::default();
         if let Some(model) = regular {
             terms.regular_prefix = model.route_prefix(route);
-            // The slot oracle's "others with support" filter is exactly the
-            // regular model's contender count, already held in dense form —
-            // no second count structure read.
-            terms.slot_contenders = route
-                .hops()
-                .iter()
-                .map(|hop| model.contender_count(hop.router, hop.input, hop.output) + 1)
-                .fold(1, u32::max);
+            terms.slot_contenders =
+                SlotOracle::contenders(ArbitrationPolicy::RoundRobin, model.weights(), route);
         }
         if let Some(model) = graph {
             let buffer_aware = model.base();

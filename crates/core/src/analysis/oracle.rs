@@ -476,28 +476,25 @@ impl SlotOracle {
         }
     }
 
-    /// The contenders of the most contended port of `route` (at least 1):
-    /// the slot latency is monotone in the contender count, so that port
-    /// decides the envelope.
-    fn contenders(&self, route: &Route) -> u32 {
+    /// The contenders of the most contended port of `route` (at least 1)
+    /// under `arbitration`, as `counts` holds them: the slot latency is
+    /// monotone in the contender count, so that port decides the envelope.
+    #[inline]
+    pub(crate) fn contenders(
+        arbitration: ArbitrationPolicy,
+        counts: &WeightTable,
+        route: &Route,
+    ) -> u32 {
         route
             .hops()
             .iter()
-            .map(|hop| match self.arbitration {
+            .map(|hop| match arbitration {
                 // Round robin arbitrates between input ports.
                 ArbitrationPolicy::RoundRobin => {
-                    let others = crate::port::Port::ALL
-                        .iter()
-                        .filter(|&&p| {
-                            p != hop.input
-                                && p != hop.output
-                                && self.counts.quota(hop.router, p, hop.output) > 0
-                        })
-                        .count() as u32;
-                    others + 1
+                    counts.contender_count(hop.router, hop.input, hop.output) + 1
                 }
                 // WaW shares the port between the flows using it.
-                ArbitrationPolicy::Waw => self.counts.output_flows(hop.router, hop.output).max(1),
+                ArbitrationPolicy::Waw => counts.output_flows(hop.router, hop.output).max(1),
             })
             .fold(1, u32::max)
     }
@@ -551,7 +548,7 @@ impl WcttBoundModel for SlotOracle {
 
     fn packet_bound(&mut self, id: FlowId, own_flits: u32) -> Option<u64> {
         let route = self.flows.route(id)?;
-        let contenders = self.contenders(route);
+        let contenders = Self::contenders(self.arbitration, &self.counts, route);
         Some(Self::packet_envelope(
             self.packetization,
             contenders,
@@ -561,7 +558,7 @@ impl WcttBoundModel for SlotOracle {
 
     fn message_bound(&mut self, id: FlowId, message_flits: u32) -> Option<u64> {
         let route = self.flows.route(id)?;
-        let contenders = self.contenders(route);
+        let contenders = Self::contenders(self.arbitration, &self.counts, route);
         Some(Self::message_envelope(
             self.packetization,
             contenders,

@@ -3,10 +3,10 @@
 //! A *flow* is an ordered (source, destination) node pair.  The WaW arbitration
 //! weights of Section III are derived from the number of flows that can traverse
 //! each input and output port of every router, which is statically known thanks
-//! to XY routing.  [`FlowSet`] enumerates a concrete set of flows and answers
-//! per-port queries by scanning its routes; the analyses and the simulator read
-//! the counts from the dense [`crate::weights::WeightTable`] built from a flow
-//! set instead.  [`paper_input_source_count`]/[`paper_output_source_count`] give
+//! to XY routing.  [`FlowSet`] enumerates a concrete set of flows with their
+//! routes; every per-port count is read from the dense
+//! [`crate::weights::WeightTable`] built from a flow set.
+//! [`paper_input_source_count`]/[`paper_output_source_count`] give
 //! the closed-form counts from the paper for the all-to-all flow set
 //! (assumption (1) in Section II.A: *every node is able to send and receive
 //! packets to/from any other node*).
@@ -233,54 +233,6 @@ impl FlowSet {
             .map(FlowId)
     }
 
-    /// Flows whose route enters router `router` through input port `input`.
-    pub fn flows_through_input(&self, router: Coord, input: Port) -> Vec<FlowId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.uses_input(router, input))
-            .map(|(i, _)| FlowId(i))
-            .collect()
-    }
-
-    /// Flows whose route leaves router `router` through output port `output`.
-    pub fn flows_through_output(&self, router: Coord, output: Port) -> Vec<FlowId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.uses_output(router, output))
-            .map(|(i, _)| FlowId(i))
-            .collect()
-    }
-
-    /// Number of flows entering `router` through `input` (the paper's `I_dir`).
-    pub fn input_count(&self, router: Coord, input: Port) -> usize {
-        self.flows_through_input(router, input).len()
-    }
-
-    /// Number of flows leaving `router` through `output` (the paper's `O_dir`).
-    pub fn output_count(&self, router: Coord, output: Port) -> usize {
-        self.flows_through_output(router, output).len()
-    }
-
-    /// Number of flows that enter `router` through `input` **and** leave through
-    /// `output`.
-    pub fn port_pair_count(&self, router: Coord, input: Port, output: Port) -> usize {
-        self.routes
-            .iter()
-            .filter(|r| {
-                r.hop_at(router)
-                    .is_some_and(|h| h.input == input && h.output == output)
-            })
-            .count()
-    }
-
-    /// Flows that traverse the unidirectional link leaving `router` in direction
-    /// `dir`.
-    pub fn flows_on_link(&self, router: Coord, dir: Direction) -> Vec<FlowId> {
-        self.flows_through_output(router, Port::Mesh(dir))
-    }
-
     /// Returns `true` if every `(router, input)` port used by the set is used
     /// towards a **single** output port — i.e. flows sharing an input buffer
     /// never diverge.
@@ -294,14 +246,12 @@ impl FlowSet {
     /// output-consistent flow sets and downgrades the analysis to
     /// ordering-only elsewhere.
     pub fn is_output_consistent(&self) -> bool {
-        // The output each `(router, input)` buffer feeds so far, densely
-        // indexed `node · 5 + input`; `None` until a flow uses the buffer.
-        let width = usize::from(self.mesh.width());
+        // The output each `(router, input)` buffer feeds so far, indexed by
+        // `Mesh::port_index`; `None` until a flow uses the buffer.
         let mut feeds: Vec<Option<Port>> = vec![None; self.mesh.router_count() * Port::COUNT];
         for route in &self.routes {
             for hop in route.hops() {
-                let node = usize::from(hop.router.y) * width + usize::from(hop.router.x);
-                match &mut feeds[node * Port::COUNT + hop.input.index()] {
+                match &mut feeds[self.mesh.port_index(hop.router, hop.input)] {
                     slot @ None => *slot = Some(hop.output),
                     Some(output) if *output != hop.output => return false,
                     Some(_) => {}
@@ -393,8 +343,9 @@ impl FlowSet {
 /// `I_PME = 1` (written in the symmetric form that matches the worked example
 /// and Table I of the paper).  Note that these count *sources behind the port*,
 /// not individual (source, destination) flows; the resulting `I/O` weight ratios
-/// are identical to the flow-count ratios computed by [`FlowSet`] for the
-/// all-to-all flow set, because the destination factor cancels out.
+/// are identical to the flow-count ratios of the
+/// [`WeightTable`](crate::weights::WeightTable) of the all-to-all flow set,
+/// because the destination factor cancels out.
 ///
 /// # Examples
 ///
@@ -440,7 +391,7 @@ pub fn paper_input_source_count(mesh: &Mesh, coord: Coord, input: Port) -> usize
 ///
 /// These are `O_X+ = x+1`, `O_X- = N-x`, `O_Y+ = N·(y+1)`, `O_Y- = N·(M-y)`,
 /// `O_PME = N·M-1`.  See [`paper_input_source_count`] for the relationship with
-/// the flow counts of [`FlowSet`].
+/// the flow counts of a [`FlowSet`].
 pub fn paper_output_source_count(mesh: &Mesh, coord: Coord, output: Port) -> usize {
     let n = usize::from(mesh.width());
     let m = usize::from(mesh.height());
@@ -462,6 +413,7 @@ pub fn paper_output_source_count(mesh: &Mesh, coord: Coord, output: Port) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::WeightTable;
 
     #[test]
     fn flow_rejects_self_loop() {
@@ -524,19 +476,19 @@ mod tests {
         let r11 = Coord::from_row_col(1, 1);
         // Restricting to flows destined to R(1,1):
         let dst = mesh.node_id(r11).unwrap();
-        let to_r11: Vec<FlowId> = fs
-            .iter()
-            .filter(|(_, f)| f.dst == dst)
-            .map(|(id, _)| id)
-            .collect();
+        let to_r11: Vec<(NodeId, NodeId)> =
+            fs.pairs().into_iter().filter(|&(_, d)| d == dst).collect();
         assert_eq!(to_r11.len(), 3);
-        let west_in = fs.flows_through_input(r11, Port::Mesh(Direction::West));
-        let north_in = fs.flows_through_input(r11, Port::Mesh(Direction::North));
-        let west_to_local: Vec<_> = west_in.iter().filter(|id| to_r11.contains(id)).collect();
-        let north_to_local: Vec<_> = north_in.iter().filter(|id| to_r11.contains(id)).collect();
-        assert_eq!(west_to_local.len(), 1);
-        assert_eq!(north_to_local.len(), 2);
-        assert_eq!(fs.output_count(r11, Port::Local), 3);
+        let table = WeightTable::from_flow_set(&FlowSet::from_pairs(&mesh, to_r11).unwrap());
+        let west = Port::Mesh(Direction::West);
+        let north = Port::Mesh(Direction::North);
+        assert_eq!(table.quota(r11, west, Port::Local), 1);
+        assert_eq!(table.quota(r11, north, Port::Local), 2);
+        // Every flow of the set enters R(1,1) towards its local output.
+        for output in Port::ALL {
+            let expected = if output == Port::Local { 3 } else { 0 };
+            assert_eq!(table.output_flows(r11, output), expected);
+        }
     }
 
     #[test]
@@ -587,19 +539,19 @@ mod tests {
         use crate::routing::xy_turn_allowed;
         for (w, h) in [(2u16, 2u16), (3, 3), (4, 3)] {
             let mesh = Mesh::new(w, h).unwrap();
-            let fs = FlowSet::all_to_all(&mesh).unwrap();
+            let table = WeightTable::all_to_all(&mesh).unwrap();
             for router in mesh.routers() {
                 for input in mesh.ports(router) {
                     for output in mesh.ports(router) {
                         if input == output || !xy_turn_allowed(input, output) {
                             continue;
                         }
-                        let pair_flows = fs.port_pair_count(router, input, output);
-                        let out_flows = fs.output_count(router, output);
+                        let pair_flows = table.quota(router, input, output);
+                        let out_flows = table.output_flows(router, output);
                         if pair_flows == 0 || out_flows == 0 {
                             continue;
                         }
-                        let flow_ratio = pair_flows as f64 / out_flows as f64;
+                        let flow_ratio = f64::from(pair_flows) / f64::from(out_flows);
                         let paper_ratio = paper_input_source_count(&mesh, router, input) as f64
                             / paper_output_source_count(&mesh, router, output) as f64;
                         assert!(
@@ -613,39 +565,63 @@ mod tests {
         }
     }
 
+    /// Flows entering `router` through `input` (the paper's `I_dir`), as
+    /// the sum of the input's pair counts.
+    fn input_flows(table: &WeightTable, router: Coord, input: Port) -> u32 {
+        Port::ALL
+            .iter()
+            .map(|&output| table.quota(router, input, output))
+            .sum()
+    }
+
     #[test]
     fn flow_conservation_at_every_router() {
-        // Flows entering a router (that do not terminate there) equal flows
-        // leaving it (that do not originate there).
+        // Flows entering a router (those originating there through its local
+        // input) equal flows leaving it (those terminating there through its
+        // local output), and every flow leaving over a link enters the
+        // router at its far end.
         let mesh = Mesh::square(4).unwrap();
-        let fs = FlowSet::all_to_all(&mesh).unwrap();
+        let table = WeightTable::all_to_all(&mesh).unwrap();
         for router in mesh.routers() {
-            let inputs: usize = mesh
+            let inputs: u32 = mesh
                 .ports(router)
                 .iter()
-                .map(|p| fs.input_count(router, *p))
+                .map(|&p| input_flows(&table, router, p))
                 .sum();
-            let outputs: usize = mesh
+            let outputs: u32 = mesh
                 .ports(router)
                 .iter()
-                .map(|p| fs.output_count(router, *p))
+                .map(|&p| table.output_flows(router, p))
                 .sum();
             assert_eq!(inputs, outputs, "conservation violated at {router}");
+            for dir in mesh.mesh_ports(router) {
+                let next = mesh.neighbor(router, dir).unwrap();
+                assert_eq!(
+                    table.output_flows(router, Port::Mesh(dir)),
+                    input_flows(&table, next, Port::Mesh(dir.opposite())),
+                    "link {router}->{dir}"
+                );
+            }
         }
     }
 
     #[test]
     fn port_pair_counts_sum_to_output_count() {
-        let mesh = Mesh::square(3).unwrap();
-        let fs = FlowSet::all_to_one(&mesh, Coord::new(0, 0)).unwrap();
-        for router in mesh.routers() {
-            for output in mesh.ports(router) {
-                let total: usize = mesh
-                    .ports(router)
-                    .iter()
-                    .map(|input| fs.port_pair_count(router, *input, output))
-                    .sum();
-                assert_eq!(total, fs.output_count(router, output));
+        let mesh = Mesh::new(4, 3).unwrap();
+        for fs in [
+            FlowSet::all_to_one(&mesh, Coord::new(0, 0)).unwrap(),
+            FlowSet::all_to_all(&mesh).unwrap(),
+        ] {
+            let table = WeightTable::from_flow_set(&fs);
+            for router in mesh.routers() {
+                for output in mesh.ports(router) {
+                    let total: u32 = mesh
+                        .ports(router)
+                        .iter()
+                        .map(|input| table.quota(router, *input, output))
+                        .sum();
+                    assert_eq!(total, table.output_flows(router, output));
+                }
             }
         }
     }
@@ -676,30 +652,24 @@ mod tests {
 
     #[test]
     fn output_count_map_consistent() {
-        // The dense weight table is the output-count map of the set.
+        // The dense weight table is the output-count map of the set: the
+        // number of routes leaving each router through each port.
         let mesh = Mesh::square(3).unwrap();
         let fs = FlowSet::all_to_one(&mesh, Coord::new(2, 2)).unwrap();
-        let table = crate::weights::WeightTable::from_flow_set(&fs);
+        let table = WeightTable::from_flow_set(&fs);
         for router in mesh.routers() {
             for port in mesh.ports(router) {
-                let expected = fs.output_count(router, port);
+                let expected = fs
+                    .iter()
+                    .filter(|&(id, _)| {
+                        fs.route(id)
+                            .unwrap()
+                            .hops()
+                            .iter()
+                            .any(|hop| hop.router == router && hop.output == port)
+                    })
+                    .count();
                 assert_eq!(expected, table.output_flows(router, port) as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn link_flows_match_output_port_flows() {
-        let mesh = Mesh::square(4).unwrap();
-        let fs = FlowSet::all_to_one(&mesh, Coord::new(0, 0)).unwrap();
-        for router in mesh.routers() {
-            for dir in Direction::ALL {
-                if mesh.has_port(router, dir) {
-                    assert_eq!(
-                        fs.flows_on_link(router, dir),
-                        fs.flows_through_output(router, Port::Mesh(dir))
-                    );
-                }
             }
         }
     }

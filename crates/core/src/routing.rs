@@ -79,21 +79,6 @@ impl Route {
     pub fn visits(&self, router: Coord) -> bool {
         self.hops.iter().any(|h| h.router == router)
     }
-
-    /// Returns the hop entry for `router`, if the route traverses it.
-    pub fn hop_at(&self, router: Coord) -> Option<&Hop> {
-        self.hops.iter().find(|h| h.router == router)
-    }
-
-    /// Returns `true` if the route uses output port `output` at `router`.
-    pub fn uses_output(&self, router: Coord, output: Port) -> bool {
-        self.hop_at(router).is_some_and(|h| h.output == output)
-    }
-
-    /// Returns `true` if the route uses input port `input` at `router`.
-    pub fn uses_input(&self, router: Coord, input: Port) -> bool {
-        self.hop_at(router).is_some_and(|h| h.input == input)
-    }
 }
 
 /// A routing algorithm: decides, at each router, which output port a packet
@@ -434,8 +419,15 @@ mod tests {
         let r = XyRouting
             .route(&m, Coord::from_row_col(0, 3), Coord::from_row_col(0, 0))
             .unwrap();
-        assert!(r.uses_output(Coord::from_row_col(0, 2), Port::Mesh(Direction::West)));
-        assert!(r.uses_input(Coord::from_row_col(0, 2), Port::Mesh(Direction::East)));
+        // The westbound route crosses R(0,2) from its east input to its west
+        // output.
+        let r02 = Coord::from_row_col(0, 2);
+        assert!(r.visits(r02));
+        assert!(r.hops().contains(&Hop {
+            router: r02,
+            input: Port::Mesh(Direction::East),
+            output: Port::Mesh(Direction::West),
+        }));
         assert!(!r.visits(Coord::from_row_col(3, 3)));
     }
 }

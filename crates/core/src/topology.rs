@@ -113,6 +113,20 @@ impl Mesh {
         self.dims.contains(coord)
     }
 
+    /// Dense index of `port` on the router at `coord`: `node · 5 + port`,
+    /// with routers in row-major order.  Every per-port table of the analyses
+    /// (contention columns, drain terms, input buffers) is laid out over
+    /// this index, which spans `0..router_count() · Port::COUNT`.
+    ///
+    /// The coordinate is not checked; one outside the mesh yields an index
+    /// that may alias another router's port.
+    #[inline]
+    pub fn port_index(&self, coord: Coord, port: Port) -> usize {
+        debug_assert!(self.contains(coord), "{coord} outside the mesh");
+        let node = usize::from(coord.y) * usize::from(self.width()) + usize::from(coord.x);
+        node * Port::COUNT + port.index()
+    }
+
     /// The neighbour of `coord` in direction `dir`, or `None` at a mesh edge.
     pub fn neighbor(&self, coord: Coord, dir: Direction) -> Option<Coord> {
         dir.step(coord).filter(|c| self.contains(*c))
@@ -268,6 +282,20 @@ mod tests {
             assert_eq!(link.from.manhattan_distance(link.to), 1);
             assert_eq!(m.neighbor(link.from, link.direction), Some(link.to));
         }
+    }
+
+    #[test]
+    fn port_index_is_row_major_and_dense() {
+        let m = Mesh::new(3, 2).unwrap();
+        let mut seen = Vec::new();
+        for (node, coord) in m.routers().enumerate() {
+            assert_eq!(m.node_id(coord).unwrap().index(), node);
+            for port in Port::ALL {
+                seen.push(m.port_index(coord, port));
+            }
+        }
+        let expected: Vec<usize> = (0..m.router_count() * Port::COUNT).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

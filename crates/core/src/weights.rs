@@ -30,16 +30,18 @@
 //!
 //! # Layout
 //!
-//! One table type holds the flow counts every WaW consumer reads: the
-//! simulator's WaW arbiters, every weighted bound (paper, backpressured,
-//! buffer-aware, graph-based bursty), the slot envelope, the incremental
+//! One table type holds the flow counts every consumer reads, under both
+//! arbitrations: the simulator's WaW arbiters, every weighted bound (paper,
+//! backpressured, buffer-aware, graph-based bursty), the round-robin
+//! chained-blocking recursion (through [`WeightTable::column_support`] and
+//! [`WeightTable::contender_count`]), the slot envelope, the incremental
 //! analysis engine and the conformance flow-set cache.  Counts are stored
 //! densely, one *column* per `(router, output)` port at index
-//! `node · 5 + output` (the same column index the regular model, the
-//! incremental engine and the preemptive oracle use): `outputs[column]` is
-//! the output count `O` and `pairs[column · 5 + input]` the pair count.  A
-//! bound reads `O` at every hop of every route, so a read is one bounds
-//! check and one load rather than a hash; an unused port simply holds 0.
+//! `node · 5 + output` ([`Mesh::port_index`], the index every per-port table
+//! uses): `outputs[column]` is the output count `O` and
+//! `pairs[column · 5 + input]` the pair count.  A bound reads `O` at every
+//! hop of every route, so a read is one bounds check and one load rather
+//! than a hash; an unused port simply holds 0.
 
 use crate::flow::{paper_input_source_count, paper_output_source_count, FlowSet};
 use crate::geometry::Coord;
@@ -118,15 +120,13 @@ impl WeightTable {
         &self.mesh
     }
 
-    /// Dense column index of the `(router, output)` port, or `None` if
-    /// `router` lies outside the mesh.
+    /// Dense column index of the `(router, output)` port
+    /// ([`Mesh::port_index`]), or `None` if `router` lies outside the mesh.
     #[inline]
     fn column(&self, router: Coord, output: Port) -> Option<usize> {
-        self.mesh.contains(router).then(|| {
-            let node =
-                usize::from(router.y) * usize::from(self.mesh.width()) + usize::from(router.x);
-            node * Port::COUNT + output.index()
-        })
+        self.mesh
+            .contains(router)
+            .then(|| self.mesh.port_index(router, output))
     }
 
     /// Pair counts of every input toward the output of `column`, in
@@ -135,17 +135,21 @@ impl WeightTable {
         &self.pairs[column * Port::COUNT..(column + 1) * Port::COUNT]
     }
 
-    /// Registers (`add`) or removes one flow's traversal of `hop`.
+    /// Registers (`add`) or removes one flow's traversal of `hop`, and
+    /// returns whether the hop's pair count flipped between zero and
+    /// non-zero: that is, whether its input joined or left the column's
+    /// [`WeightTable::column_support`].
     ///
     /// # Panics
     ///
     /// Panics if the hop's router lies outside the mesh.
-    fn count_hop(&mut self, hop: &Hop, add: bool) {
+    pub(crate) fn count_hop(&mut self, hop: &Hop, add: bool) -> bool {
         let column = self
             .column(hop.router, hop.output)
             .expect("route hops lie inside the table's mesh");
         let pair = &mut self.pairs[column * Port::COUNT + hop.input.index()];
         let output = &mut self.outputs[column];
+        let before = *pair;
         if add {
             *pair += 1;
             *output += 1;
@@ -154,6 +158,7 @@ impl WeightTable {
             *pair = pair.saturating_sub(1);
             *output = output.saturating_sub(1);
         }
+        (before == 0) != (*pair == 0)
     }
 
     /// Raw quota of `(input, output)` at `router`: the number of flows that
@@ -181,22 +186,39 @@ impl WeightTable {
         f64::from(self.quota(router, input, output)) / f64::from(o)
     }
 
+    /// The input ports carrying at least one flow towards `output` at
+    /// `router`, as a mask over [`Port::index`] (zero outside the mesh).
+    /// Round-robin arbitration reads the counts only through this mask: it
+    /// serves every input with a flow once, whatever the flow count.
+    pub fn column_support(&self, router: Coord, output: Port) -> u32 {
+        self.column(router, output).map_or(0, |column| {
+            self.column_pairs(column)
+                .iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .fold(0, |mask, (input, _)| mask | 1 << input)
+        })
+    }
+
+    /// Number of input ports other than `input` that carry at least one flow
+    /// towards `output` at `router`: the contenders a packet entering
+    /// through `input` can find requesting the same output under round
+    /// robin.  An input facing `output` itself would be a U-turn, so it is
+    /// never counted.
+    pub fn contender_count(&self, router: Coord, input: Port, output: Port) -> u32 {
+        let others = !(1 << input.index() | 1 << output.index());
+        (self.column_support(router, output) & others).count_ones()
+    }
+
     /// The default (unweighted) round-robin share of the same pair: `1 / k`
     /// where `k` is the number of input ports with at least one flow toward
     /// `output`.  Used to reproduce the "Regular Mesh" column of Table I.
     pub fn round_robin_share(&self, router: Coord, input: Port, output: Port) -> f64 {
-        if self.quota(router, input, output) == 0 {
+        let support = self.column_support(router, output);
+        if support & 1 << input.index() == 0 {
             return 0.0;
         }
-        let contenders = Port::ALL
-            .iter()
-            .filter(|&&p| self.quota(router, p, output) > 0)
-            .count();
-        if contenders == 0 {
-            0.0
-        } else {
-            1.0 / contenders as f64
-        }
+        1.0 / f64::from(support.count_ones())
     }
 
     /// Integer flit quotas of every input port contending for `output` at

@@ -133,12 +133,24 @@ proptest! {
         let dst = mesh.coord_of(NodeId((seed % nodes) as usize)).unwrap();
         let flows = FlowSet::all_to_one(&mesh, dst).unwrap();
         prop_assert_eq!(flows.len(), mesh.router_count() - 1);
+        let table = WeightTable::from_flow_set(&flows);
+        let input_flows = |router, input| -> u32 {
+            Port::ALL.iter().map(|&output| table.quota(router, input, output)).sum()
+        };
         for router in mesh.routers() {
-            let inputs: usize = mesh.ports(router).iter()
-                .map(|p| flows.input_count(router, *p)).sum();
-            let outputs: usize = mesh.ports(router).iter()
-                .map(|p| flows.output_count(router, *p)).sum();
+            let inputs: u32 = mesh.ports(router).iter()
+                .map(|&p| input_flows(router, p)).sum();
+            let outputs: u32 = mesh.ports(router).iter()
+                .map(|&p| table.output_flows(router, p)).sum();
             prop_assert_eq!(inputs, outputs);
+            // What leaves over a link enters the router at its far end.
+            for dir in mesh.mesh_ports(router) {
+                let next = mesh.neighbor(router, dir).unwrap();
+                prop_assert_eq!(
+                    table.output_flows(router, Port::Mesh(dir)),
+                    input_flows(next, Port::Mesh(dir.opposite()))
+                );
+            }
         }
         // Every flow's route ends at the destination's local port.
         for (id, _flow) in flows.iter() {
@@ -508,6 +520,30 @@ fn assert_table_matches_routes(table: &WeightTable, mesh: &Mesh, routes: &[Route
                 .map(|&(input, quota)| (input, quota / divisor))
                 .collect();
             assert_eq!(table.reduced_quotas(router, output), reduced);
+            // The round-robin reads: which inputs carry a flow towards the
+            // output, and how many of them other than a given input (and
+            // other than the U-turn input facing the output) do.
+            let supported = |input: Port| {
+                pair_counts
+                    .get(&(router, input, output))
+                    .is_some_and(|&count| count > 0)
+            };
+            let support = Port::ALL
+                .iter()
+                .filter(|&&input| supported(input))
+                .fold(0, |mask, input| mask | 1 << input.index());
+            assert_eq!(table.column_support(router, output), support);
+            for input in Port::ALL {
+                let contenders = Port::ALL
+                    .iter()
+                    .filter(|&&other| other != input && other != output && supported(other))
+                    .count() as u32;
+                assert_eq!(
+                    table.contender_count(router, input, output),
+                    contenders,
+                    "{router} {input}->{output}"
+                );
+            }
         }
         assert_eq!(table.pairs(router), expected_pairs, "{router}");
     }
@@ -518,8 +554,10 @@ fn assert_table_matches_routes(table: &WeightTable, mesh: &Mesh, routes: &[Route
         for output in Port::ALL {
             assert_eq!(table.output_flows(outside, output), 0);
             assert!(table.reduced_quotas(outside, output).is_empty());
+            assert_eq!(table.column_support(outside, output), 0);
             for input in Port::ALL {
                 assert_eq!(table.quota(outside, input, output), 0);
+                assert_eq!(table.contender_count(outside, input, output), 0);
             }
         }
         assert!(table.pairs(outside).is_empty());
