@@ -593,6 +593,37 @@ mod tests {
         assert_eq!(report.ordering_violations(), 0);
     }
 
+    /// VC-sweep scenarios where top-class flows saturate a shared link (the
+    /// fixed class V1 of `docs/ORACLES.md`): a preemptor re-offers every
+    /// `lone_message_latency` cycles, so the lower classes' preemption
+    /// iteration diverges and their bounds saturate.
+    #[test]
+    fn saturating_vc_scenarios_pass_by_bound() {
+        for (seed, index) in [
+            (2, 142),
+            (4, 479),
+            (5, 164),
+            (8, 976),
+            (9, 629),
+            (9, 993),
+            (10, 122),
+            (12, 216),
+            (12, 696),
+            (13, 275),
+        ] {
+            let outcome = Campaign::vc_sweep(seed, 1000)
+                .scenario(index)
+                .run()
+                .unwrap();
+            assert!(
+                outcome.passed(),
+                "seed {seed} #{index}: {:?} {:?}",
+                outcome.violations,
+                outcome.ordering_violations
+            );
+        }
+    }
+
     #[test]
     fn small_bursty_campaign_passes() {
         let report = Campaign::bursty_sweep(7, 6).run(2).unwrap();

@@ -1812,11 +1812,11 @@ mod tests {
             (
                 Campaign::vc_sweep(7, 25),
                 [
-                    0xb5ce_9d94_c2b1_0058,
-                    0x31c9_d726_1800_0ea8,
-                    0x17e7_f299_c01f_e9db,
-                    0xeb7d_fdbf_e647_e0c3,
-                    0xc391_bd8b_3211_ccfd,
+                    0x6437_aefa_0a0c_eab5,
+                    0xae08_e6a9_6dff_8dd0,
+                    0x94ef_b8b1_eee2_2679,
+                    0x5005_26fb_9d0d_26de,
+                    0x3a20_a4ed_2621_421a,
                     0x1366_d558_e94a_5189,
                 ],
             ),

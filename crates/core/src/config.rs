@@ -37,6 +37,19 @@ pub fn zero_load_head_latency(hops: u32) -> u64 {
     ROUTER_CHARGE * (u64::from(hops) + 1) + LINK_CHARGE * u64::from(hops) + EJECTION_CHARGE
 }
 
+/// The simulator's offer-to-delivery latency of a lone message of
+/// `wire_flits` wire flits over `hops` links: it is injected the cycle after
+/// it is offered, its head crosses one link per cycle and the rest of the
+/// message follows one flit per cycle, so `hops + wire_flits + 1` cycles.
+///
+/// Exact on an idle network whose input buffers hold at least two flits, and
+/// a lower bound on every network: a depth-1 buffer can stall the message on
+/// its credits, and contention only delays it.  The simulator's
+/// `zero_load_latency_matches_hop_count` test pins it.
+pub fn lone_message_latency(hops: u32, wire_flits: u32) -> u64 {
+    u64::from(hops) + u64::from(wire_flits) + 1
+}
+
 /// Complete configuration of a wormhole mesh NoC design.
 ///
 /// # Examples

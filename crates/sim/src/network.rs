@@ -1573,6 +1573,7 @@ mod tests {
 
     #[test]
     fn zero_load_latency_matches_hop_count() {
+        use wnoc_core::config::lone_message_latency;
         // The simulator's elementary costs, exact under both kernels, on an
         // 8×8 mesh built over all-to-one flows to R(0, 0).  Every wire takes
         // one cycle and routers and ejection add none, so a lone message over
@@ -1585,7 +1586,26 @@ mod tests {
         // (row, col), destination (row, col), message flits), and the
         // (traversal, end-to-end) latency of each offer)
         let mut table = Vec::new();
-        let lone = |config, depth, src, dst, flits, traversal: u64| {
+        // A lone message; one that meets no credit stall takes the
+        // analyses' `lone_message_latency` end to end.
+        let lone = |config: NocConfig,
+                    depth,
+                    src: (u16, u16),
+                    dst: (u16, u16),
+                    flits,
+                    traversal: u64,
+                    stalled: bool| {
+            if !stalled {
+                let hops = Coord::from_row_col(src.0, src.1)
+                    .manhattan_distance(Coord::from_row_col(dst.0, dst.1));
+                let wire_flits = config.packetization.split(flits).wire_flits();
+                assert_eq!(
+                    traversal + 1,
+                    lone_message_latency(hops, wire_flits),
+                    "{} {src:?} -> {dst:?}, {flits} flits",
+                    config.label()
+                );
+            }
             let offers = vec![(src, dst, flits)];
             (config, depth, offers, vec![(traversal, traversal + 1)])
         };
@@ -1597,7 +1617,7 @@ mod tests {
             (waw_wap, 4, [6, 8, 10]),
         ] {
             for (hops, traversal) in [1u16, 3, 5].into_iter().zip(latencies) {
-                table.push(lone(config, 4, (0, hops), (0, 0), flits, traversal));
+                table.push(lone(config, 4, (0, hops), (0, 0), flits, traversal, false));
             }
         }
         for config in [regular, waw_wap] {
@@ -1613,8 +1633,8 @@ mod tests {
         table.push((waw_wap, 4, twice, vec![(8, 9), (11, 14)]));
         // ...and one 8-flit message (two regular packets, nine WaP slices):
         // no bubble between the packets.
-        table.push(lone(regular, 4, (0, 3), (0, 0), 8, 11));
-        table.push(lone(waw_wap, 4, (0, 3), (0, 0), 8, 12));
+        table.push(lone(regular, 4, (0, 3), (0, 0), 8, 11, false));
+        table.push(lone(waw_wap, 4, (0, 3), (0, 0), 8, 12, false));
         // A credit stall at depth d: a lone 4-flit message over 3 hops West,
         // North, East and South.  Routers are swept in ascending index order,
         // so a credit returned to a higher-indexed router is seen in the same
@@ -1629,8 +1649,8 @@ mod tests {
             ] {
                 let stalled = depth == 1 && ascending;
                 let (traversal, wap_traversal) = if stalled { (10, 12) } else { (7, 8) };
-                table.push(lone(regular, depth, src, dst, 4, traversal));
-                table.push(lone(waw_wap, depth, src, dst, 4, wap_traversal));
+                table.push(lone(regular, depth, src, dst, 4, traversal, stalled));
+                table.push(lone(waw_wap, depth, src, dst, 4, wap_traversal, stalled));
             }
         }
         let mesh = Mesh::square(8).unwrap();
