@@ -365,6 +365,9 @@ pub struct IncrementalAnalysis {
     /// what its readers read of it before the first delta
     /// ([`IncrementalAnalysis::column_state`]); empty between mutations.
     touched: Vec<(DrainKey, u32)>,
+    /// Membership of `touched`, dense by column: set exactly for the
+    /// columns `touched` lists, so all clear between mutations.
+    touched_marks: Vec<bool>,
 }
 
 impl IncrementalAnalysis {
@@ -434,6 +437,7 @@ impl IncrementalAnalysis {
             depth_readers,
             delta: RouteDelta::default(),
             touched: Vec::new(),
+            touched_marks: vec![false; ports],
         };
         for index in 0..n {
             engine.index_flow(index);
@@ -808,10 +812,11 @@ impl IncrementalAnalysis {
     fn apply_route(&mut self, index: usize, add: bool) {
         let route = self.flows.route(FlowId(index)).expect("indexed flow");
         for hop in route.hops() {
-            let key = (hop.router, hop.output);
-            if !self.touched.iter().any(|&(touched, _)| touched == key) {
+            let mark = &mut self.touched_marks[self.mesh.port_index(hop.router, hop.output)];
+            if !*mark {
+                *mark = true;
                 let state = self.column_state(hop.router, hop.output);
-                self.touched.push((key, state));
+                self.touched.push(((hop.router, hop.output), state));
             }
         }
         if let Some(model) = &mut self.regular {
@@ -838,12 +843,18 @@ impl IncrementalAnalysis {
             }
         }
         for &((router, output), before) in &self.touched {
+            let column = self.mesh.port_index(router, output);
+            self.touched_marks[column] = false;
             if self.column_state(router, output) != before {
-                for &index in &self.port_readers[self.mesh.port_index(router, output)] {
+                for &index in &self.port_readers[column] {
                     self.cache[index as usize] = None;
                 }
             }
         }
+        debug_assert!(
+            !self.touched_marks.contains(&true),
+            "a touched mark outlived its mutation"
+        );
         self.delta.clear();
         self.touched.clear();
         self.preemptive_dirty = true;
@@ -1174,6 +1185,24 @@ mod tests {
             let mut engine =
                 IncrementalAnalysis::new(&flows, &config, &buffers, VcConfig::single()).unwrap();
             let before = engine.flows().len();
+            let memory = mesh.node_id(Coord::from_row_col(0, 0)).unwrap();
+            let center = mesh.node_id(Coord::from_row_col(1, 1)).unwrap();
+            // XY-routed flow-shape mutations cannot follow a fault.
+            let assert_flow_shape_rejected = |engine: &mut IncrementalAnalysis| {
+                assert!(engine
+                    .apply(&Mutation::AddFlow {
+                        src: memory,
+                        dst: center,
+                    })
+                    .is_err());
+                assert!(engine
+                    .apply(&Mutation::MoveFlow {
+                        id: FlowId(0),
+                        src: memory,
+                        dst: center,
+                    })
+                    .is_err());
+            };
             // Fail one directed link: every flow reroutes over the spanning
             // forest, nothing is severed (the mesh stays connected).
             engine
@@ -1184,6 +1213,7 @@ mod tests {
                 .unwrap();
             assert_eq!(engine.flows().len(), before);
             check_against_suite(&mut engine);
+            assert_flow_shape_rejected(&mut engine);
             // Fail a router: the flow sourced there is severed and dropped.
             engine
                 .apply(&Mutation::FailRouter {
@@ -1193,8 +1223,8 @@ mod tests {
             assert_eq!(engine.flows().len(), before - 1);
             assert!(engine.fault_set().router_failed(Coord::from_row_col(3, 3)));
             check_against_suite(&mut engine);
-            // Knob mutations still compose after faults...
-            let memory = mesh.node_id(Coord::from_row_col(0, 0)).unwrap();
+            // Knob mutations still compose after faults, but flow-shape
+            // mutations stay rejected.
             engine
                 .apply(&Mutation::SetBufferDepth {
                     node: memory,
@@ -1203,20 +1233,7 @@ mod tests {
                 })
                 .unwrap();
             check_against_suite(&mut engine);
-            // ...but XY-routed flow-shape mutations are rejected.
-            assert!(engine
-                .apply(&Mutation::AddFlow {
-                    src: memory,
-                    dst: mesh.node_id(Coord::from_row_col(1, 1)).unwrap(),
-                })
-                .is_err());
-            assert!(engine
-                .apply(&Mutation::MoveFlow {
-                    id: FlowId(0),
-                    src: memory,
-                    dst: mesh.node_id(Coord::from_row_col(1, 1)).unwrap(),
-                })
-                .is_err());
+            assert_flow_shape_rejected(&mut engine);
         }
     }
 

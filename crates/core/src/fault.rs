@@ -283,6 +283,10 @@ pub struct FaultSet {
     mesh: Mesh,
     router_dead: Vec<bool>,
     link_dead: Vec<[bool; 4]>,
+    /// How many of the flags above are set, each counted when it is first
+    /// set: a function of the flags, so [`FaultSet::is_empty`] reads no flag
+    /// and the derived `==` still compares the flags alone.
+    failed: usize,
 }
 
 impl FaultSet {
@@ -292,23 +296,26 @@ impl FaultSet {
             mesh: *mesh,
             router_dead: vec![false; mesh.router_count()],
             link_dead: vec![[false; 4]; mesh.router_count()],
+            failed: 0,
         }
     }
 
     /// Marks one failure as active.  Coordinates outside the mesh are
     /// ignored (a plan is validated separately by [`FaultPlan::validate`]).
     pub fn add(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Router { at } => {
-                if let Ok(id) = self.mesh.node_id(at) {
-                    self.router_dead[id.index()] = true;
-                }
-            }
-            FaultKind::Link { from, direction } => {
-                if let Ok(id) = self.mesh.node_id(from) {
-                    self.link_dead[id.index()][dir_index(direction)] = true;
-                }
-            }
+        let flag = match kind {
+            FaultKind::Router { at } => match self.mesh.node_id(at) {
+                Ok(id) => &mut self.router_dead[id.index()],
+                Err(_) => return,
+            },
+            FaultKind::Link { from, direction } => match self.mesh.node_id(from) {
+                Ok(id) => &mut self.link_dead[id.index()][dir_index(direction)],
+                Err(_) => return,
+            },
+        };
+        if !*flag {
+            *flag = true;
+            self.failed += 1;
         }
     }
 
@@ -319,7 +326,16 @@ impl FaultSet {
 
     /// Returns `true` if nothing has failed.
     pub fn is_empty(&self) -> bool {
-        !self.router_dead.iter().any(|&d| d) && !self.link_dead.iter().flatten().any(|&d| d)
+        debug_assert_eq!(
+            self.failed,
+            self.router_dead
+                .iter()
+                .chain(self.link_dead.iter().flatten())
+                .filter(|&&dead| dead)
+                .count(),
+            "failure count out of step with the flags"
+        );
+        self.failed == 0
     }
 
     /// Returns `true` if the router at `coord` is dead.
@@ -774,6 +790,40 @@ mod tests {
         assert!(set.link_usable(Coord::new(1, 0), Direction::West));
         assert!(!set.edge_usable(Coord::new(0, 0), Direction::East));
         assert!(!set.edge_usable(Coord::new(1, 0), Direction::West));
+    }
+
+    #[test]
+    fn repeated_adds_count_once_and_outside_adds_are_ignored() {
+        let m = mesh(3);
+        let link = FaultKind::Link {
+            from: Coord::new(1, 1),
+            direction: Direction::East,
+        };
+        let router = FaultKind::Router {
+            at: Coord::new(0, 2),
+        };
+        let mut link_only = FaultSet::empty(&m);
+        link_only.add(link);
+        assert!(!link_only.is_empty());
+        let mut twice = FaultSet::empty(&m);
+        for kind in [link, router, link, router] {
+            twice.add(kind);
+        }
+        let mut once = FaultSet::empty(&m);
+        for kind in [router, link] {
+            once.add(kind);
+        }
+        assert_eq!(twice, once);
+        let mut outside = FaultSet::empty(&m);
+        outside.add(FaultKind::Router {
+            at: Coord::new(3, 0),
+        });
+        outside.add(FaultKind::Link {
+            from: Coord::new(0, 5),
+            direction: Direction::North,
+        });
+        assert!(outside.is_empty());
+        assert_eq!(outside, FaultSet::empty(&m));
     }
 
     #[test]

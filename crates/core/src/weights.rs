@@ -38,10 +38,13 @@
 //! analysis engine and the conformance flow-set cache.  Counts are stored
 //! densely, one *column* per `(router, output)` port at index
 //! `node · 5 + output` ([`Mesh::port_index`], the index every per-port table
-//! uses): `outputs[column]` is the output count `O` and
-//! `pairs[column · 5 + input]` the pair count.  A bound reads `O` at every
-//! hop of every route, so a read is one bounds check and one load rather
-//! than a hash; an unused port simply holds 0.
+//! uses): `outputs[column]` is the output count `O`,
+//! `pairs[column · 5 + input]` the pair count and `support[column]` the
+//! round-robin support mask, kept in step with the pair counts by every
+//! update.  A bound reads `O` at every hop of every route and the
+//! chained-blocking recursion reads the mask at every step, so a read is one
+//! bounds check and one load rather than a hash; an unused port simply holds
+//! 0.
 
 use crate::flow::{paper_input_source_count, paper_output_source_count, FlowSet};
 use crate::geometry::Coord;
@@ -81,6 +84,10 @@ pub struct WeightTable {
     /// `column · 5 + input`: the inputs contending for one output are
     /// adjacent.
     pairs: Vec<u32>,
+    /// The inputs with a non-zero pair count towards each column's output,
+    /// as a mask over [`Port::index`]: a function of `pairs`
+    /// (`support_mask`), so `==` still means "equals a rebuild".
+    support: Vec<u8>,
 }
 
 impl WeightTable {
@@ -92,6 +99,7 @@ impl WeightTable {
             mesh,
             outputs: vec![0; columns],
             pairs: vec![0; columns * Port::COUNT],
+            support: vec![0; columns],
         };
         // Single pass over every flow's route: each traversed hop contributes
         // one flow to its (router, input, output) pair and to its output port.
@@ -138,7 +146,7 @@ impl WeightTable {
     /// Registers (`add`) or removes one flow's traversal of `hop`, and
     /// returns whether the hop's pair count flipped between zero and
     /// non-zero: that is, whether its input joined or left the column's
-    /// [`WeightTable::column_support`].
+    /// [`WeightTable::column_support`], whose mask it updates.
     ///
     /// # Panics
     ///
@@ -158,7 +166,11 @@ impl WeightTable {
             *pair = pair.saturating_sub(1);
             *output = output.saturating_sub(1);
         }
-        (before == 0) != (*pair == 0)
+        let flipped = (before == 0) != (*pair == 0);
+        if flipped {
+            self.support[column] ^= 1 << hop.input.index();
+        }
+        flipped
     }
 
     /// Raw quota of `(input, output)` at `router`: the number of flows that
@@ -192,11 +204,13 @@ impl WeightTable {
     /// serves every input with a flow once, whatever the flow count.
     pub fn column_support(&self, router: Coord, output: Port) -> u32 {
         self.column(router, output).map_or(0, |column| {
-            self.column_pairs(column)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &count)| count > 0)
-                .fold(0, |mask, (input, _)| mask | 1 << input)
+            let support = u32::from(self.support[column]);
+            debug_assert_eq!(
+                support,
+                support_mask(self.column_pairs(column)),
+                "stale support mask at {router} {output}"
+            );
+            support
         })
     }
 
@@ -290,6 +304,16 @@ impl WeightTable {
             i / o
         }
     }
+}
+
+/// The inputs with a non-zero count among one column's pair counts, as a
+/// mask over their index.
+fn support_mask(pairs: &[u32]) -> u32 {
+    pairs
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .fold(0, |mask, (input, _)| mask | 1 << input)
 }
 
 fn gcd(a: u32, b: u32) -> u32 {
