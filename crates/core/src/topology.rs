@@ -124,7 +124,18 @@ impl Mesh {
     pub fn port_index(&self, coord: Coord, port: Port) -> usize {
         debug_assert!(self.contains(coord), "{coord} outside the mesh");
         let node = usize::from(coord.y) * usize::from(self.width()) + usize::from(coord.x);
-        node * Port::COUNT + port.index()
+        self.node_port_index(NodeId(node), port)
+    }
+
+    /// [`Mesh::port_index`] of `port` on the router with id `node`, for
+    /// tables walked by router index.  The id is not checked either.
+    #[inline]
+    pub fn node_port_index(&self, node: NodeId, port: Port) -> usize {
+        debug_assert!(
+            node.index() < self.router_count(),
+            "{node} outside the mesh"
+        );
+        node.index() * Port::COUNT + port.index()
     }
 
     /// The neighbour of `coord` in direction `dir`, or `None` at a mesh edge.
@@ -296,6 +307,12 @@ mod tests {
         }
         let expected: Vec<usize> = (0..m.router_count() * Port::COUNT).collect();
         assert_eq!(seen, expected);
+        for coord in m.routers() {
+            let node = m.node_id(coord).unwrap();
+            for port in Port::ALL {
+                assert_eq!(m.node_port_index(node, port), m.port_index(coord, port));
+            }
+        }
     }
 
     #[test]

@@ -265,9 +265,9 @@ pub struct Network {
     neighbor: Vec<[u32; Port::COUNT]>,
     /// The flit slab shared by every queue in the network.
     arena: FlitArena,
-    /// Flits forwarded per `(router, output port)`, stored densely
-    /// (`router index * Port::COUNT + port index`): bumped once per flit per
-    /// hop, squarely on the hot path, so it must not cost a hash probe.
+    /// Flits forwarded per `(router, output port)`, stored densely over
+    /// [`Mesh::node_port_index`]: bumped once per flit per hop, squarely on
+    /// the hot path, so it must not cost a hash probe.
     port_flits: Vec<u64>,
     active_routers: ActiveSet,
     active_nics: ActiveSet,
@@ -540,7 +540,7 @@ impl Network {
     /// per flit per hop, this is too hot for a hash map).
     pub fn port_flits(&self, router: Coord, output: Port) -> u64 {
         match self.mesh.node_id(router) {
-            Ok(node) => self.port_flits[node.index() * Port::COUNT + output.index()],
+            Ok(node) => self.port_flits[self.mesh.node_port_index(node, output)],
             Err(_) => 0,
         }
     }
@@ -675,7 +675,7 @@ impl Network {
             let forwarded = !self.scratch_forwards.is_empty();
             for entry in 0..self.scratch_forwards.len() {
                 let fwd = self.scratch_forwards[entry];
-                self.port_flits[index * Port::COUNT + fwd.output.index()] += 1;
+                self.port_flits[self.mesh.node_port_index(NodeId(index), fwd.output)] += 1;
                 match fwd.input {
                     // Return a credit to the upstream router that fed this
                     // input (on the drained flit's VC), and wake it if the
@@ -1153,7 +1153,7 @@ impl Network {
                 }
             }
             self.routers[cur].ff_transit(&self.arena, out, &self.scratch_heads, first_decide, pass);
-            self.port_flits[cur * Port::COUNT + out.index()] += pass;
+            self.port_flits[self.mesh.node_port_index(NodeId(cur), out)] += pass;
             if m >= m_min {
                 let holder = self.scratch_ff[(m - m_min) as usize];
                 if let Port::Mesh(dir) = holder.input {
